@@ -7,24 +7,13 @@
 //! A thin shim over the spec-driven experiment driver
 //! (`experiments/ablation_microarch.json` is the committed manifest form).
 //! Each study is one sweep: a single workload against a declarative list of
-//! system variants, executed in parallel by the sweep engine. With
-//! `--repeat <n>` every study's grid runs `n` times and each repetition
-//! feeds its measured per-point wall-clock back into the next one's
-//! scheduler (`SweepRunner::recorded_costs`) — profile-guided ordering
-//! replacing the static `elements()` heuristic on repeated grids. Results
-//! are bit-identical at any repeat count; only the execution order moves.
-//! With `--store <dir>` every repetition after the first is served entirely
-//! from the result store.
+//! system variants, executed in parallel by the sweep engine, whose workers
+//! claim the variants most-expensive first through one shared cursor.
+//! Results are bit-identical at any thread count. With `--store <dir>` a
+//! rerun is served entirely from the result store.
 //!
-//! `--shard <k>/<n>` runs only shard `k` of `n` deterministic slices of
-//! each study's grid into the shared store; the variant tables need the
-//! whole grid, so a sharded run prints the sweep summary only and the final
-//! unsharded `--resume` run over the same store prints the tables from
-//! all-hits. `--store-gc-mib <n>` caps the store directory afterwards.
-//!
-//! Usage: `cargo run --release -p ava-bench --bin ablation [-- --repeat <n>]
-//! [--threads <n>] [--store <dir>] [--resume] [--shard <k>/<n>]
-//! [--store-gc-mib <n>] [--json <path>]`
+//! Usage: `cargo run --release -p ava-bench --bin ablation [-- --threads <n>]
+//! [--store <dir>] [--resume] [--json <path>]`
 
 use std::process::ExitCode;
 
@@ -32,8 +21,7 @@ use ava_bench::cli::{usage_error, BenchArgs};
 use ava_bench::driver;
 use ava_bench::spec::ExperimentSpec;
 
-const USAGE: &str = "ablation [--repeat <n>] [--threads <n>] [--store <dir>] [--resume] \
-                     [--shard <k>/<n>] [--store-gc-mib <n>] [--json <path>]";
+const USAGE: &str = "ablation [--threads <n>] [--store <dir>] [--resume] [--json <path>]";
 
 fn main() -> ExitCode {
     match run() {
@@ -43,15 +31,8 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let mut args = BenchArgs::parse()?;
-    let repeat = match args.take_value("--repeat")? {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("invalid --repeat value: {v}")),
-        },
-        None => 1,
-    };
+    let args = BenchArgs::parse()?;
     args.finish()?;
 
-    driver::run(&ExperimentSpec::ablation(repeat), &args)
+    driver::run(&ExperimentSpec::ablation(), &args)
 }

@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>]
-//!             [--store <dir>] [--program-cache <dir>] [--resume]
-//!             [--shard <k>/<n>] [--store-gc-mib <n>] [--json <path>]
+//!             [--store <dir>] [--resume] [--json <path>]
 //! ```
 //!
 //! The manifest picks the artefact, the workload/mix list, the scenario
@@ -15,7 +14,7 @@
 //! [`ava_bench::spec`] for the schema. The shared execution flags mean what
 //! they mean everywhere; where the manifest's `execution` block sets the
 //! same option, the command line wins field by field, so one manifest can
-//! be run locally single-threaded and on CI sharded without editing it.
+//! be run single-threaded or against a different store without editing it.
 //! `--json <path>` likewise overrides the manifest's `output.json`.
 //!
 //! `--scale-down` shrinks the experiment to smoke size (first workload,
@@ -30,8 +29,7 @@ use ava_bench::driver;
 use ava_bench::spec::ExperimentSpec;
 
 const USAGE: &str = "experiments --spec <path> [--scale-down] [--app <name>] [--threads <n>] \
-                     [--store <dir>] [--program-cache <dir>] [--resume] [--shard <k>/<n>] \
-                     [--store-gc-mib <n>] [--json <path>]";
+                     [--store <dir>] [--resume] [--json <path>]";
 
 fn main() -> ExitCode {
     match run() {

@@ -32,12 +32,6 @@
 //! served from disk, fresh points are checkpointed as workers finish, and
 //! `--resume` asserts the directory already holds such a checkpoint.
 //!
-//! `--shard <k>/<n>` runs only shard `k` of `n` deterministic slices of the
-//! grid into the shared store; a sharded run emits its summary and JSON but
-//! skips the per-workload charts (they need the whole grid — run the final
-//! unsharded `--resume` merge pass to print them). `--store-gc-mib <n>`
-//! caps the store directory after the sweep.
-//!
 //! With `--json`, the instrumented sweep report (per-point counters,
 //! wall-clock timing, compile-cache and result-store statistics and the
 //! derived per-point energy breakdown from the McPAT-style model) is
@@ -51,8 +45,7 @@ use ava_bench::spec::ExperimentSpec;
 
 const USAGE: &str = "fig3 [--app <name>] [--chart mem|mix|perf|energy|all] \
                      [--mix pipelined|solver] [--iters <n>] [--threads <n>] \
-                     [--store <dir>] [--resume] [--shard <k>/<n>] \
-                     [--store-gc-mib <n>] [--json <path>]";
+                     [--store <dir>] [--resume] [--json <path>]";
 
 fn main() -> ExitCode {
     match run() {

@@ -20,7 +20,7 @@
 //!             [--vvr 32,64,128] [--chart tables|energy|all]
 //!             [--mix independent|pipelined|solver] [--iters <n>]
 //!             [--app <name>] [--threads <n>] [--store <dir>] [--resume]
-//!             [--shard <k>/<n>] [--store-gc-mib <n>] [--json <path>]
+//!             [--json <path>]
 //! ```
 //!
 //! `--vvr` drives the AVA rename-pool axis: every grid point is re-run with
@@ -42,11 +42,7 @@
 //! `--store <dir>` attaches the content-addressed result store, which is
 //! what makes the large crossed grids practical: a killed run resumes where
 //! it stopped (`--resume` asserts a checkpoint exists), a rerun with one
-//! more axis value simulates only the new points, and stored per-point wall
-//! times seed the scheduler. `--shard <k>/<n>` runs only one deterministic
-//! slice of the grid into the shared store (the per-workload tables are
-//! then deferred to the final unsharded `--resume` merge pass), and
-//! `--store-gc-mib <n>` caps the store directory after the sweep.
+//! more axis value simulates only the new points.
 //!
 //! With `--json`, the instrumented sweep report — axis metadata, the derived
 //! per-point energy breakdown and the per-phase (and, for the solver mix,
@@ -63,8 +59,7 @@ const USAGE: &str = "sensitivity [--mvl 128,256,512] [--l2-kib 256,1024,4096] \
                      [--l1-kib 16,32,64] [--dram-bw 6,12,24] [--vmu-bus 32,64,128] \
                      [--vvr 32,64,128] [--chart tables|energy|all] \
                      [--mix independent|pipelined|solver] [--iters <n>] [--app <name>] \
-                     [--threads <n>] [--store <dir>] [--resume] [--shard <k>/<n>] \
-                     [--store-gc-mib <n>] [--json <path>]";
+                     [--threads <n>] [--store <dir>] [--resume] [--json <path>]";
 
 fn parse_list(arg: &str, what: &str) -> Result<Vec<usize>, String> {
     arg.split(',')

@@ -8,7 +8,7 @@
 //! spec and call [`run`] — so a manifest run and a legacy flag run of the
 //! same experiment produce byte-identical output.
 //!
-//! Progress lines (sweep size, scheduler summary, store GC) still stream to
+//! Progress lines (sweep size, sweep summary) still stream to
 //! stderr while the sweeps run; the stdout text is accumulated and printed
 //! by [`run`] in one piece, which is also what lets in-process tests pin it
 //! byte for byte without spawning processes.
@@ -124,26 +124,20 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
     );
     let report = args.configure(sweep.runner()).run();
     eprintln!("{}", format_sweep_summary(&report));
-    args.run_store_gc();
 
-    // A sharded run holds only its slice of the grid, so the per-workload
-    // charts (which need every configuration of a workload) are deferred to
-    // the final unsharded merge pass over the shared store.
-    if args.shard.is_none() {
-        for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
-            let name = workload.name();
-            if chart == "mem" || chart == "all" {
-                push_line(out, &format_memory_breakdown(name, runs));
-            }
-            if chart == "mix" || chart == "all" {
-                push_line(out, &format_instruction_mix(name, runs));
-            }
-            if chart == "perf" || chart == "all" {
-                push_line(out, &format_performance(name, runs));
-            }
-            if chart == "energy" || chart == "all" {
-                push_line(out, &format_energy(name, runs));
-            }
+    for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
+        let name = workload.name();
+        if chart == "mem" || chart == "all" {
+            push_line(out, &format_memory_breakdown(name, runs));
+        }
+        if chart == "mix" || chart == "all" {
+            push_line(out, &format_instruction_mix(name, runs));
+        }
+        if chart == "perf" || chart == "all" {
+            push_line(out, &format_performance(name, runs));
+        }
+        if chart == "energy" || chart == "all" {
+            push_line(out, &format_energy(name, runs));
         }
     }
 
@@ -235,28 +229,22 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
         );
     }
 
-    // A sharded run holds only its slice of the grid; the per-workload
-    // tables need every scenario of a workload, so they are deferred to the
-    // final unsharded merge pass over the shared store.
-    if args.shard.is_none() {
-        for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
-            if chart == "tables" || chart == "all" {
-                push_line(
-                    out,
-                    &format_mvl_extrapolation(workload.name(), sweep.resolved_systems(), runs),
-                );
-                push_line(out, &format_cache_sensitivity(workload.name(), runs));
-            }
-            if chart == "energy" || chart == "all" {
-                push_line(
-                    out,
-                    &format_energy_sensitivity(workload.name(), sweep.resolved_systems(), runs),
-                );
-            }
+    for (workload, runs) in workloads.iter().zip(report.reports.chunks(per_workload)) {
+        if chart == "tables" || chart == "all" {
+            push_line(
+                out,
+                &format_mvl_extrapolation(workload.name(), sweep.resolved_systems(), runs),
+            );
+            push_line(out, &format_cache_sensitivity(workload.name(), runs));
+        }
+        if chart == "energy" || chart == "all" {
+            push_line(
+                out,
+                &format_energy_sensitivity(workload.name(), sweep.resolved_systems(), runs),
+            );
         }
     }
     eprintln!("{}", format_sweep_summary(&report));
-    args.run_store_gc();
 
     Ok(sensitivity_json(
         mvls,
@@ -268,7 +256,6 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
 }
 
 fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
-    let repeat = spec.repeat;
     // Scale-down shrinks the fixed study workloads; the variant list is the
     // experiment itself and stays whole.
     let (axpy_n, blackscholes_n) = if spec.reduced {
@@ -281,7 +268,6 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
             "swap-free baseline",
             &ScenarioConfig::native_x(1),
             Arc::new(Axpy::new(axpy_n)),
-            repeat,
             args,
             out,
         ),
@@ -289,12 +275,10 @@ fn ablation(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Json {
             "swap-heavy AVA",
             &ScenarioConfig::ava_x(8),
             Arc::new(Blackscholes::new(blackscholes_n)),
-            repeat,
             args,
             out,
         ),
     ];
-    args.run_store_gc();
     out.push_str("The per-operation overhead of the vector memory unit dominates the\n");
     out.push_str("short-vector baseline (three memory operations per 16-element strip),\n");
     out.push_str("while the swap-heavy AVA X8 case is bound by the arithmetic pipeline and\n");
@@ -333,7 +317,6 @@ fn study(
     label: &str,
     base: &ScenarioConfig,
     workload: SharedWorkload,
-    repeat: usize,
     args: &BenchArgs,
     out: &mut String,
 ) -> Json {
@@ -343,29 +326,10 @@ fn study(
         base.label()
     ));
     let (names, systems) = variants(base);
-    // First pass is ordered by the static heuristic; every further pass
-    // reorders its queue by the previous pass's measured per-point time.
     let grid = Sweep::grid(vec![workload.clone()], systems);
-    let mut sweep = args.configure(grid.runner()).run();
-    for _ in 1..repeat.max(1) {
-        sweep = args.configure(grid.runner().recorded_costs(&sweep)).run();
-    }
+    let sweep = args.configure(grid.runner()).run();
     for r in &sweep.reports {
         assert!(r.validated, "{}: {:?}", r.config, r.validation_error);
-    }
-    // A sharded run holds only its slice of the grid: the variant table
-    // (and its reference point) need every variant, so they are deferred to
-    // the final unsharded merge pass over the shared store.
-    if args.shard.is_some() {
-        push_line(out, &format_sweep_summary(&sweep));
-        out.push('\n');
-        return object()
-            .field("study", label)
-            .field("workload", workload.name())
-            .field("base_config", base.label())
-            .field("variants", Json::Arr(Vec::new()))
-            .field("sweep", sweep.to_json())
-            .finish();
     }
     let reference = sweep.reports[0].cycles;
     out.push_str(&format!(

@@ -175,13 +175,18 @@ pub fn format_performance(workload: &str, reports: &[RunReport]) -> String {
     out
 }
 
+/// Microjoules per millijoule: the energy model prices in millijoules, the
+/// energy tables print microjoules.
+const UJ_PER_MJ: f64 = 1e3;
+
 /// Formats the Figure 3 column-4 chart: energy breakdown from the
-/// McPAT-style model.
+/// McPAT-style model, in microjoules (the kernels' totals are around a
+/// microjoule, which millijoules to three decimals would print as zero).
 #[must_use]
 pub fn format_energy(workload: &str, reports: &[RunReport]) -> String {
     let params = EnergyParams::default();
     let configs = config_map();
-    let mut out = format!("Figure 3 ({workload}) — energy (mJ)\n");
+    let mut out = format!("Figure 3 ({workload}) — energy (µJ)\n");
     out.push_str(&format!(
         "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
         "config", "L2 dyn", "L2 leak", "VRF dyn", "VRF leak", "FPU dyn", "FPU leak", "total"
@@ -192,13 +197,13 @@ pub fn format_energy(workload: &str, reports: &[RunReport]) -> String {
         out.push_str(&format!(
             "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}\n",
             r.config,
-            e.l2_dynamic,
-            e.l2_leakage,
-            e.vrf_dynamic,
-            e.vrf_leakage,
-            e.fpu_dynamic,
-            e.fpu_leakage,
-            e.total()
+            e.l2_dynamic * UJ_PER_MJ,
+            e.l2_leakage * UJ_PER_MJ,
+            e.vrf_dynamic * UJ_PER_MJ,
+            e.vrf_leakage * UJ_PER_MJ,
+            e.fpu_dynamic * UJ_PER_MJ,
+            e.fpu_leakage * UJ_PER_MJ,
+            e.total() * UJ_PER_MJ
         ));
     }
     out
@@ -852,7 +857,7 @@ pub fn sweep_energy_json(report: &SweepReport, systems: &[SystemConfig]) -> Json
 
 /// Formats the energy matrix of the sensitivity study for one workload
 /// (`sensitivity --chart energy`, or a manifest artefact of kind
-/// `"energy"`): one row per MVL, one total-energy column (millijoules) per
+/// `"energy"`): one row per MVL, one total-energy column (microjoules) per
 /// L2 capacity on the grid — the text rendering of what
 /// [`sweep_energy_json`] emits per point. Points beyond the MVL × L2 plane
 /// (extra hierarchy axes) fold into the cell of their (MVL, L2) pair by
@@ -879,7 +884,7 @@ pub fn format_energy_sensitivity(
     l2s.sort_unstable();
     l2s.dedup();
 
-    let mut out = format!("Sensitivity ({workload}) — total energy (mJ) by MVL and L2 capacity\n");
+    let mut out = format!("Sensitivity ({workload}) — total energy (µJ) by MVL and L2 capacity\n");
     out.push_str(&format!("{:>5}", "MVL"));
     for l2 in &l2s {
         out.push_str(&format!(" {:>13}", format!("L2={l2}KiB")));
@@ -907,7 +912,7 @@ pub fn format_energy_sensitivity(
                             .total()
                     })
                     .sum();
-                out.push_str(&format!(" {total:>13.4}"));
+                out.push_str(&format!(" {:>13.4}", total * UJ_PER_MJ));
             }
         }
         out.push('\n');
@@ -1059,7 +1064,7 @@ mod tests {
         let sweep = Sweep::grid(workloads, scenarios);
         let report = sweep.runner().threads(1).run();
         let table = format_energy_sensitivity("axpy", sweep.resolved_systems(), &report.reports);
-        assert!(table.contains("total energy (mJ)"), "{table}");
+        assert!(table.contains("total energy (µJ)"), "{table}");
         assert!(
             table.contains("L2=512KiB") && table.contains("L2=1024KiB"),
             "{table}"

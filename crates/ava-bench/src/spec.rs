@@ -3,7 +3,7 @@
 //! A manifest is a JSON document describing one experiment end to end —
 //! which artefact to regenerate (`fig3`, `fig4`, `sensitivity`,
 //! `ablation`), which workloads and mixes to sweep, which scenario axes to
-//! cross, how to execute (threads, result store, sharding, program cache)
+//! cross, how to execute (threads, result store)
 //! and what to emit (JSON path, chart kind). The generic `experiments`
 //! binary drives the whole bench stack from such a file, and the legacy
 //! `fig3`/`fig4`/`sensitivity`/`ablation` binaries are thin shims that
@@ -241,8 +241,8 @@ impl Default for AxesSpec {
 }
 
 /// The execution options of a manifest, mirroring the shared CLI flags
-/// (`--threads`, `--store`, `--program-cache`, `--resume`, `--shard`,
-/// `--store-gc-mib`). CLI flags override manifest values field by field
+/// (`--threads`, `--store`, `--resume`). CLI flags override manifest
+/// values field by field
 /// ([`crate::cli::BenchArgs::apply_execution`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionSpec {
@@ -250,14 +250,8 @@ pub struct ExecutionSpec {
     pub threads: Option<usize>,
     /// Result-store directory.
     pub store: Option<String>,
-    /// Persistent program-cache directory.
-    pub program_cache: Option<String>,
     /// Assert the store already holds a checkpoint.
     pub resume: bool,
-    /// Run only shard `(k, n)` of the grid.
-    pub shard: Option<(usize, usize)>,
-    /// Post-sweep store size cap in MiB.
-    pub store_gc_mib: Option<u64>,
 }
 
 /// The output block of a manifest: where to write the JSON artefact and
@@ -284,8 +278,6 @@ pub struct ExperimentSpec {
     pub app: Option<String>,
     /// Scenario-grid axes (sensitivity only).
     pub axes: AxesSpec,
-    /// Grid repetitions with profile-guided reordering (ablation only).
-    pub repeat: usize,
     /// Execution options.
     pub execution: ExecutionSpec,
     /// Output artefacts.
@@ -345,7 +337,6 @@ impl ExperimentSpec {
             },
             app: None,
             axes: AxesSpec::default(),
-            repeat: 1,
             execution: ExecutionSpec::default(),
             output: OutputSpec::default(),
             reduced: false,
@@ -430,18 +421,6 @@ impl ExperimentSpec {
                     }
                     spec.axes = parse_axes(&ctx, value)?;
                 }
-                "repeat" => {
-                    if artefact != ArtefactKind::Ablation {
-                        return Err(ctx.fail(
-                            key,
-                            format!(
-                                "\"repeat\" does not apply to the {} artefact",
-                                artefact.as_str()
-                            ),
-                        ));
-                    }
-                    spec.repeat = positive_usize(&ctx, value, "repeat")?;
-                }
                 "execution" => {
                     spec.execution = parse_execution(&ctx, value)?;
                 }
@@ -453,7 +432,7 @@ impl ExperimentSpec {
                         other,
                         format!(
                             "unknown field {other:?} (expected name, artefact, workloads, app, \
-                             axes, repeat, execution or output)"
+                             axes, execution or output)"
                         ),
                     ));
                 }
@@ -518,16 +497,9 @@ impl ExperimentSpec {
                 ));
             }
         }
-        if let Some((_, of)) = self.execution.shard {
-            let _ = of; // validated in parse_execution / by the constructor
-        }
-        if (self.execution.resume
-            || self.execution.shard.is_some()
-            || self.execution.store_gc_mib.is_some())
-            && self.execution.store.is_none()
-        {
+        if self.execution.resume && self.execution.store.is_none() {
             return Err(format!(
-                "manifest {}: execution \"resume\"/\"shard\"/\"store_gc_mib\" require \"store\"",
+                "manifest {}: execution \"resume\" requires \"store\"",
                 ctx.label
             ));
         }
@@ -580,9 +552,6 @@ impl ExperimentSpec {
             axes = arr_field(axes, "vvrs", &self.axes.extra.vvrs);
             o = o.field("axes", axes.finish());
         }
-        if self.artefact == ArtefactKind::Ablation && self.repeat != 1 {
-            o = o.field("repeat", self.repeat);
-        }
         if self.execution != ExecutionSpec::default() {
             let mut e = object();
             if let Some(threads) = self.execution.threads {
@@ -591,17 +560,8 @@ impl ExperimentSpec {
             if let Some(store) = &self.execution.store {
                 e = e.field("store", store.as_str());
             }
-            if let Some(cache) = &self.execution.program_cache {
-                e = e.field("program_cache", cache.as_str());
-            }
             if self.execution.resume {
                 e = e.field("resume", true);
-            }
-            if let Some((k, n)) = self.execution.shard {
-                e = e.field("shard", format!("{k}/{n}"));
-            }
-            if let Some(mib) = self.execution.store_gc_mib {
-                e = e.field("store_gc_mib", mib);
             }
             o = o.field("execution", e.finish());
         }
@@ -619,8 +579,7 @@ impl ExperimentSpec {
     }
 
     /// Shrinks the experiment to CI-smoke size: the workload list drops to
-    /// its first entry, every driven axis to its first value, and the
-    /// ablation repeat count to 1. The driver additionally truncates the
+    /// its first entry and every driven axis to its first value. The driver additionally truncates the
     /// dimensions a manifest cannot express (the fig3 evaluated-system
     /// list, the ablation study problem sizes) when this flag is set.
     pub fn scale_down(&mut self) {
@@ -631,7 +590,6 @@ impl ExperimentSpec {
         self.axes.extra.dram_bw.truncate(1);
         self.axes.extra.vmu_bus.truncate(1);
         self.axes.extra.vvrs.truncate(1);
-        self.repeat = 1;
         self.reduced = true;
     }
 
@@ -709,12 +667,10 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// The spec an `ablation [--repeat <n>]` invocation translates to.
+    /// The spec an `ablation` invocation translates to.
     #[must_use]
-    pub fn ablation(repeat: usize) -> Self {
-        let mut spec = Self::new(ArtefactKind::Ablation);
-        spec.repeat = repeat.max(1);
-        spec
+    pub fn ablation() -> Self {
+        Self::new(ArtefactKind::Ablation)
     }
 
     /// Appends the legacy `--mix` selection to the default pool.
@@ -912,37 +868,16 @@ fn parse_execution(ctx: &Ctx<'_>, value: &Json) -> Result<ExecutionSpec, String>
                         .to_string(),
                 );
             }
-            "program_cache" => {
-                exec.program_cache = Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            ctx.fail(key, "execution \"program_cache\" must be a path string")
-                        })?
-                        .to_string(),
-                );
-            }
             "resume" => {
                 exec.resume = v
                     .as_bool()
                     .ok_or_else(|| ctx.fail(key, "execution \"resume\" must be a boolean"))?;
             }
-            "shard" => {
-                let s = v.as_str().ok_or_else(|| {
-                    ctx.fail(key, "execution \"shard\" must be a \"<k>/<n>\" string")
-                })?;
-                exec.shard = Some(crate::cli::parse_shard(s).map_err(|e| ctx.fail(s, e))?);
-            }
-            "store_gc_mib" => {
-                exec.store_gc_mib = Some(v.as_u64().ok_or_else(|| {
-                    ctx.fail(key, "execution \"store_gc_mib\" must be an integer")
-                })?);
-            }
             other => {
                 return Err(ctx.fail(
                     other,
                     format!(
-                        "unknown execution field {other:?} (expected threads, store, \
-                         program_cache, resume, shard or store_gc_mib)"
+                        "unknown execution field {other:?} (expected threads, store or resume)"
                     ),
                 ))
             }
@@ -1019,7 +954,6 @@ mod tests {
         assert_eq!(spec.chart(), "tables");
         let spec = ExperimentSpec::parse("t", r#"{"artefact": "ablation"}"#).unwrap();
         assert!(spec.workloads.is_empty());
-        assert_eq!(spec.repeat, 1);
     }
 
     #[test]
@@ -1051,10 +985,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_manifests_are_a_diagnostic_not_a_crash() {
+        let text = format!(
+            "{{\"artefact\": \"fig3\", \"name\": {}",
+            "[".repeat(200_000)
+        );
+        let err = ExperimentSpec::parse("t", &text).unwrap_err();
+        assert!(
+            err.contains("manifest t:") && err.contains("nesting deeper than"),
+            "{err}"
+        );
+        assert!(err.contains("byte"), "{err}");
+    }
+
+    #[test]
     fn artefact_scoped_fields_are_rejected_elsewhere() {
         for (text, needle) in [
             (r#"{"artefact": "fig3", "axes": {"mvl": [128]}}"#, "axes"),
-            (r#"{"artefact": "fig3", "repeat": 2}"#, "repeat"),
             (
                 r#"{"artefact": "ablation", "workloads": ["axpy"]}"#,
                 "workloads",
@@ -1119,25 +1066,18 @@ mod tests {
     fn execution_block_parses_and_cross_checks() {
         let spec = ExperimentSpec::parse(
             "t",
-            r#"{"artefact": "fig3", "execution": {"threads": 2, "store": "d", "shard": "1/4",
-                "store_gc_mib": 64, "resume": true, "program_cache": "p"}}"#,
+            r#"{"artefact": "fig3", "execution": {"threads": 2, "store": "d", "resume": true}}"#,
         )
         .unwrap();
         assert_eq!(spec.execution.threads, Some(2));
-        assert_eq!(spec.execution.shard, Some((1, 4)));
+        assert_eq!(spec.execution.store.as_deref(), Some("d"));
         assert!(spec.execution.resume);
         let err = ExperimentSpec::parse(
             "t",
             r#"{"artefact": "fig3", "execution": {"resume": true}}"#,
         )
         .unwrap_err();
-        assert!(err.contains("require \"store\""), "{err}");
-        let err = ExperimentSpec::parse(
-            "t",
-            r#"{"artefact": "fig3", "execution": {"store": "d", "shard": "4/4"}}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("shard"), "{err}");
+        assert!(err.contains("requires \"store\""), "{err}");
     }
 
     #[test]
@@ -1148,7 +1088,7 @@ mod tests {
             r#"{"name": "vvr", "artefact": "sensitivity",
                 "axes": {"mvl": [128], "l2_kib": [512], "vvrs": [32, 64]},
                 "execution": {"threads": 1}}"#,
-            r#"{"artefact": "ablation", "repeat": 3}"#,
+            r#"{"artefact": "ablation", "execution": {"threads": 2}}"#,
             r#"{"artefact": "fig4"}"#,
         ];
         for text in texts {

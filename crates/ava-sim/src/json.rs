@@ -280,7 +280,10 @@ pub fn object() -> ObjectBuilder {
 /// preserved, which means a document built from strings, booleans and
 /// integers satisfies `parse(&doc.to_string()) == Ok(doc)`.
 ///
-/// Errors report the byte offset of the first problem.
+/// Errors report the byte offset of the first problem. Arrays and objects
+/// may nest at most [`MAX_DEPTH`] deep: the parser recurses once per level,
+/// so a deeper document is rejected with a diagnostic instead of
+/// overflowing the stack.
 ///
 /// ```
 /// use ava_sim::json::{parse, Json};
@@ -294,6 +297,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -303,10 +307,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Recursive-descent parser state: bytes plus a cursor.
+/// The deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent parser state: bytes, a cursor and the current
+/// array/object nesting depth.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -363,10 +373,25 @@ impl Parser<'_> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object one nesting level down, rejecting the
+    /// level past [`MAX_DEPTH`] at the byte of its opening bracket.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     /// One `\uXXXX` unit (the cursor sits just past the `u`).
@@ -666,6 +691,23 @@ mod tests {
         }
         // Errors carry the byte offset of the first problem.
         assert!(parse("{} trailing").unwrap_err().contains("byte 3"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_diagnostic_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(
+            err.contains("nesting deeper than 128 levels at byte 128"),
+            "{err}"
+        );
+        let deep_objects = "{\"k\":".repeat(200_000);
+        assert!(parse(&deep_objects).unwrap_err().contains("nesting deeper"));
+        // The limit itself is accepted; one level more is not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past).is_err());
     }
 
     #[test]

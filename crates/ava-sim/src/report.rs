@@ -79,18 +79,13 @@ pub fn format_runs_table(reports: &[RunReport], baseline: &str) -> String {
     out
 }
 
-/// One-line execution summary of a sweep: shard (when restricted), points,
-/// threads, wall/busy time, compile-cache traffic, work-steal count and
-/// (when a store was attached) how many points the result store served.
-/// Printed by the benchmark binaries under `--threads`, `--shard` and
-/// `--store` so incremental runs show what they skipped.
+/// One-line execution summary of a sweep: points, threads, wall/busy time,
+/// compile-cache traffic and (when a store was attached) how many points
+/// the result store served. Printed by the benchmark binaries under
+/// `--threads` and `--store` so incremental runs show what they skipped.
 #[must_use]
 pub fn format_sweep_summary(report: &SweepReport) -> String {
-    let mut out = String::new();
-    if let Some((index, of)) = report.shard {
-        out.push_str(&format!("shard {index}/{of}: "));
-    }
-    out.push_str(&format!(
+    let mut out = format!(
         "{} points on {} thread{} in {:.1} ms (busy {:.1} ms); compile cache {} hit / {} miss",
         report.points.len(),
         report.threads,
@@ -99,14 +94,7 @@ pub fn format_sweep_summary(report: &SweepReport) -> String {
         report.busy_ns() as f64 / 1e6,
         report.cache_hits,
         report.cache_misses,
-    ));
-    if report.steals > 0 {
-        out.push_str(&format!(
-            "; {} steal{}",
-            report.steals,
-            if report.steals == 1 { "" } else { "s" }
-        ));
-    }
+    );
     if report.store_hits + report.store_misses > 0 {
         out.push_str(&format!(
             "; store served {} of {}",
@@ -173,23 +161,6 @@ mod tests {
         let mut with_store = sweep.runner().threads(1).run();
         with_store.store_hits = 1;
         assert!(format_sweep_summary(&with_store).contains("store served 1 of 1"));
-    }
-
-    #[test]
-    fn sweep_summary_mentions_shards_and_steals_when_present() {
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
-        let plain = sweep.runner().threads(1).run();
-        let summary = format_sweep_summary(&plain);
-        assert!(!summary.contains("shard"), "whole-grid runs stay terse");
-        assert!(!summary.contains("steal"), "serial runs cannot steal");
-
-        let mut forged = plain;
-        forged.shard = Some((1, 4));
-        forged.steals = 1;
-        let summary = format_sweep_summary(&forged);
-        assert!(summary.starts_with("shard 1/4: "));
-        assert!(summary.contains("; 1 steal"));
     }
 
     #[test]

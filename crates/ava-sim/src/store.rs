@@ -19,10 +19,8 @@
 //! checkpoints itself as workers finish, resumes where it was killed, and
 //! re-simulates only the points whose fingerprints changed.
 //!
-//! Entries also record the wall-clock time of the original run; a sweep
-//! consults [`ResultStore::recorded_costs`] to start its historically
-//! slowest points first (the recorded-cost rescaling of the scheduler
-//! absorbs the ns-vs-heuristic unit mixing).
+//! Entries also record the wall-clock time of the original run, for
+//! people and tools reading the directory; lookups never consult it.
 //!
 //! ```no_run
 //! use ava_sim::{ResultStore, ScenarioConfig, Sweep};
@@ -41,16 +39,13 @@
 //! assert_eq!(warm.store_hits, warm.points.len() as u64);
 //! ```
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ava_workloads::Fingerprint;
 
-use crate::configs::{
-    axes_from_json, axes_to_json, config_axes_key, workload_identity, Axis, SystemConfig,
-};
+use crate::configs::{axes_from_json, axes_to_json, Axis, SystemConfig};
 use crate::json::{object, parse, Json};
 use crate::run::RunReport;
 
@@ -66,9 +61,9 @@ pub const CODE_VERSION: &str = concat!("ava-", env!("CARGO_PKG_VERSION"), "+stor
 pub struct StoreKey {
     /// Workload name ("axpy", "pipelined", ...).
     pub workload: String,
-    /// Workload element count — together with the name this is the sweep
-    /// scheduler's workload identity, so the recorded timings of one kernel
-    /// run at several problem sizes stay separate.
+    /// Workload element count — together with the name this is the sweep's
+    /// workload identity, so one kernel run at several problem sizes keeps
+    /// separate entries.
     pub elements: u64,
     /// Resolved scenario display label ("AVA X4", ...).
     pub config: String,
@@ -126,20 +121,6 @@ impl StoreKey {
 pub struct ResultStore {
     dir: PathBuf,
     tmp_counter: AtomicU64,
-}
-
-/// What one [`ResultStore::gc`] pass did: how much it evicted and what the
-/// directory holds afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcStats {
-    /// Entries removed, least-recently-written first.
-    pub evicted: usize,
-    /// Total bytes of the removed entries.
-    pub evicted_bytes: u64,
-    /// Entries left on disk after the pass.
-    pub remaining: usize,
-    /// Total bytes of the remaining entries.
-    pub remaining_bytes: u64,
 }
 
 const SCHEMA: &str = "ava-result-store/v1";
@@ -245,96 +226,6 @@ impl ResultStore {
             format!("cannot commit store entry {}: {e}", path.display())
         })
     }
-
-    /// The recorded wall time of every readable entry of the current code
-    /// version, keyed like the sweep scheduler's recorded-cost map: the
-    /// workload identity (name plus element count) and the canonical
-    /// config-plus-axes identity. Entries from other versions or with
-    /// unreadable metadata are skipped; where several entries land on one
-    /// key (e.g. a re-simulated point whose fingerprint changed), the
-    /// largest time wins — pessimistic ordering starts the potentially
-    /// slowest point first.
-    #[must_use]
-    pub fn recorded_costs(&self) -> HashMap<(String, String), u64> {
-        let mut costs = HashMap::new();
-        for path in self.entries() {
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(doc) = parse(&text) else { continue };
-            if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA)
-                || doc.get("version").and_then(Json::as_str) != Some(CODE_VERSION)
-            {
-                continue;
-            }
-            let (Some(workload), Some(elements), Some(config), Some(wall_ns)) = (
-                doc.get("workload").and_then(Json::as_str),
-                doc.get("elements").and_then(Json::as_u64),
-                doc.get("config").and_then(Json::as_str),
-                doc.get("wall_ns").and_then(Json::as_u64),
-            ) else {
-                continue;
-            };
-            let Some(Ok(axes)) = doc.get("axes").map(axes_from_json) else {
-                continue;
-            };
-            let key = (
-                workload_identity(workload, elements),
-                config_axes_key(config, &axes),
-            );
-            let slot = costs.entry(key).or_insert(0);
-            *slot = (*slot).max(wall_ns.max(1));
-        }
-        costs
-    }
-
-    /// Caps the store directory at `max_bytes` by evicting whole entries,
-    /// least-recently-*written* first (entry files are written exactly once
-    /// per checkpoint, so mtime order is write order; equal mtimes break
-    /// ties by file name for determinism). A long-lived store shared by many
-    /// sweeps therefore keeps its freshest results and sheds the stale
-    /// tail.
-    ///
-    /// Every removal is as safe as a lookup miss: a concurrent reader of an
-    /// evicted entry simply re-simulates the point and (if its sweep writes
-    /// to the store) re-checkpoints it, and an entry a concurrent process
-    /// already removed is skipped without error. Unreadable metadata
-    /// (e.g. an entry vanishing between the scan and its `stat`) just
-    /// excludes that file from this pass.
-    #[must_use]
-    pub fn gc(&self, max_bytes: u64) -> GcStats {
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = self
-            .entries()
-            .filter_map(|path| {
-                let meta = fs::metadata(&path).ok()?;
-                Some((meta.modified().ok()?, path, meta.len()))
-            })
-            .collect();
-        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut total: u64 = entries.iter().map(|e| e.2).sum();
-        let mut stats = GcStats {
-            evicted: 0,
-            evicted_bytes: 0,
-            remaining: entries.len(),
-            remaining_bytes: total,
-        };
-        for (_, path, bytes) in entries {
-            if total <= max_bytes {
-                break;
-            }
-            // A concurrent process may have removed (or replaced) the entry
-            // already; either way this pass has nothing left to reclaim
-            // from it, so count the eviction only when the unlink is ours.
-            if fs::remove_file(&path).is_ok() {
-                stats.evicted += 1;
-                stats.evicted_bytes += bytes;
-                stats.remaining -= 1;
-                stats.remaining_bytes -= bytes;
-            }
-            total -= bytes;
-        }
-        stats
-    }
 }
 
 #[cfg(test)]
@@ -415,97 +306,13 @@ mod tests {
     }
 
     #[test]
-    fn recorded_costs_key_on_config_and_axes_and_keep_the_max() {
-        let store = temp_store("costs");
+    fn deeply_nested_entries_are_misses_not_crashes() {
+        let store = temp_store("deep");
         let (key, report) = sample();
-        store.insert(&key, &report, 500).unwrap();
-        // Same workload + scenario, different fingerprint (a re-simulated
-        // point): separate file, same cost key, max wins.
-        let mut rekeyed = key.clone();
-        rekeyed.fingerprint ^= 0xff;
-        store.insert(&rekeyed, &report, 900).unwrap();
-        assert_eq!(store.len(), 2);
-
-        let costs = store.recorded_costs();
-        assert_eq!(costs.len(), 1);
-        let identity = config_axes_key(&key.config, &key.axes);
-        assert_eq!(costs[&("axpy#512".to_string(), identity)], 900);
-
-        // The same kernel at a different problem size is a separate
-        // scheduling identity, not a max-merge victim.
-        let mut resized = key.clone();
-        resized.elements = 1024;
-        resized.fingerprint ^= 0xabc;
-        store.insert(&resized, &report, 50).unwrap();
-        assert_eq!(store.recorded_costs().len(), 2);
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    /// Backdates one entry's mtime by `secs` so eviction order is forced
-    /// regardless of filesystem timestamp granularity.
-    fn backdate(store: &ResultStore, key: &StoreKey, secs: u64) {
+        store.insert(&key, &report, 1).unwrap();
         let path = store.dir().join(key.file_name());
-        let file = fs::File::options().write(true).open(path).unwrap();
-        let then = std::time::SystemTime::now() - std::time::Duration::from_secs(secs);
-        file.set_times(fs::FileTimes::new().set_modified(then))
-            .unwrap();
-    }
-
-    #[test]
-    fn gc_evicts_least_recently_written_entries_first() {
-        let store = temp_store("gc-order");
-        let (key, report) = sample();
-        let mut newer = key.clone();
-        newer.fingerprint ^= 1;
-        store.insert(&key, &report, 1).unwrap();
-        store.insert(&newer, &report, 1).unwrap();
-        backdate(&store, &key, 3600);
-        let entry_bytes = fs::metadata(store.dir().join(key.file_name()))
-            .unwrap()
-            .len();
-
-        // A cap fitting exactly one entry must shed the backdated one.
-        let stats = store.gc(entry_bytes);
-        assert_eq!(stats.evicted, 1);
-        assert_eq!(stats.evicted_bytes, entry_bytes);
-        assert_eq!(stats.remaining, 1);
-        assert!(stats.remaining_bytes <= entry_bytes);
-        assert!(store.lookup(&key).is_none(), "the old entry is gone");
-        assert!(store.lookup(&newer).is_some(), "the fresh entry survives");
-
-        // An evicted entry is an ordinary miss: re-inserting self-repairs.
-        store.insert(&key, &report, 1).unwrap();
-        assert!(store.lookup(&key).is_some());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn gc_under_the_cap_is_a_no_op() {
-        let store = temp_store("gc-noop");
-        let (key, report) = sample();
-        store.insert(&key, &report, 1).unwrap();
-        let stats = store.gc(u64::MAX);
-        assert_eq!(stats.evicted, 0);
-        assert_eq!(stats.evicted_bytes, 0);
-        assert_eq!(stats.remaining, 1);
-        assert!(stats.remaining_bytes > 0);
-        assert!(store.lookup(&key).is_some());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn gc_to_zero_empties_the_store() {
-        let store = temp_store("gc-zero");
-        let (key, report) = sample();
-        let mut other = key.clone();
-        other.fingerprint ^= 2;
-        store.insert(&key, &report, 1).unwrap();
-        store.insert(&other, &report, 1).unwrap();
-        let stats = store.gc(0);
-        assert_eq!(stats.evicted, 2);
-        assert_eq!(stats.remaining, 0);
-        assert_eq!(stats.remaining_bytes, 0);
-        assert!(store.is_empty());
+        fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert!(store.lookup(&key).is_none());
         let _ = fs::remove_dir_all(store.dir());
     }
 

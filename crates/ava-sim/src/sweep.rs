@@ -14,47 +14,26 @@
 //! * results are written into per-point slots, so the returned `Vec` is in
 //!   grid order regardless of which thread finished first.
 //!
-//! Execution goes through the builder-style [`SweepRunner`] — thread count,
-//! profile-guided scheduling, cross-process sharding and the on-disk
-//! [`ResultStore`] are independent knobs on one `run()` path (the old
-//! six-method `run_{serial,parallel}[_report][_with]` family is gone).
+//! Execution goes through the builder-style [`SweepRunner`]: the thread
+//! count and the on-disk [`ResultStore`] are independent knobs on one
+//! `run()` path.
 //!
 //! # Scheduling
 //!
 //! Per-point simulation cost is heavily skewed — one large Blackscholes
 //! point can cost more than a dozen Axpy points — so claiming points in
 //! grid order lets an expensive point picked up last tail the whole sweep.
-//! Scheduling is two-tier ([`WorkStealScheduler`]): the points are sorted
-//! once by a per-point **cost estimate** ([`Workload::elements`] over the
-//! configuration's effective width `MVL / LMUL` — narrower width means more
-//! strips, hence more dynamic instructions to simulate) and dealt
-//! round-robin into one pending deque per worker. Each worker then pops the
-//! highest-cost point of its *own* deque — claims touch one small
-//! per-worker lock, not a global mutex, so grids of thousands of points do
-//! not serialise on the claim path — and a worker whose deque runs dry
-//! **steals** the highest-cost pending point from the most-loaded victim.
-//! The estimates are also updated **online**: every point that finishes
-//! feeds its measured wall-clock back into a shared median
-//! nanoseconds-per-heuristic-unit, and every later claim re-ranks the
-//! candidates it is choosing between under the refreshed median — a run
-//! whose static heuristic misjudged the workload corrects itself mid-sweep.
-//! The estimate only orders work; results are still reported in grid order
-//! and remain bit-identical at any thread count, any steal pattern and any
-//! estimate quality.
+//! [`SweepRunner::run`] therefore sorts the points once by a static **cost
+//! estimate** ([`Workload::elements`] over the configuration's effective
+//! width `MVL / LMUL` — narrower width means more strips, hence more
+//! dynamic instructions to simulate), descending, with grid order breaking
+//! ties, and every worker claims the next point of that list through one
+//! shared atomic cursor. This is the longest-processing-time-first order of
+//! makespan scheduling; the grids here are seconds long, and the cursor is
+//! the whole claim path. The estimate only orders work: results are still
+//! reported in grid order and are bit-identical at any thread count.
 //!
 //! [`Workload::elements`]: ava_workloads::Workload::elements
-//!
-//! # Sharding
-//!
-//! [`SweepRunner::shard`] restricts one execution to a deterministic slice
-//! of the grid: every process hashes each point's canonical identity (the
-//! same stable workload ⊕ config keys the result store and recorded-cost
-//! replay use) and keeps the points landing in its shard, so `n` processes
-//! — or `n` machines sharing one store directory — partition a grid with no
-//! communication at all. Each sharded run checkpoints its slice into the
-//! shared [`ResultStore`] (the atomic rename writes make concurrent writers
-//! safe), and a final *unsharded* run over the same store assembles the
-//! complete [`SweepReport`] from all-hits without simulating anything.
 //!
 //! # Incremental sweeps
 //!
@@ -63,13 +42,7 @@
 //! a warm rerun performs zero simulations, a killed sweep resumes where it
 //! stopped, and a change to one workload invalidates only that workload's
 //! points (the store is keyed by a content fingerprint of the compiled
-//! program, planned layout and golden reference). Recorded per-point wall
-//! times in the store seed cost-sorted scheduling automatically.
-//!
-//! Compilations persist the same way: a runner pointed at a
-//! [`DiskProgramCache`] ([`SweepRunner::program_cache`]) serves in-memory
-//! cache misses from disk and checkpoints every fresh compilation, so a
-//! warm rerun performs zero compilations ([`SweepReport::compiles`]).
+//! program, planned layout and golden reference).
 //!
 //! # Instrumentation
 //!
@@ -83,7 +56,8 @@
 //! The cache also makes the sweep cheaper than the sum of its points: on the
 //! full Figure 3 grid, NATIVE Xn, AVA Xn and RG-LMUL1 all compile the same
 //! (kernel, LMUL, MVL) combination, so 14 configurations need only 8
-//! compilations per workload.
+//! compilations per workload. Each distinct combination compiles exactly
+//! once, however the workers race, so the cache counters are deterministic.
 //!
 //! ```
 //! use ava_sim::{ScenarioConfig, Sweep};
@@ -117,7 +91,6 @@ use ava_workloads::SharedWorkload;
 
 use crate::configs::{config_axes_key, workload_identity, ScenarioConfig, SystemConfig};
 use crate::json::{object, Json};
-use crate::progcache::{compile_fingerprint, DiskProgramCache};
 use crate::run::{run_workload_stored, RunReport};
 use crate::store::ResultStore;
 
@@ -137,6 +110,14 @@ fn heuristic_points_cost(elements: u64, width: u64) -> u64 {
     }
 }
 
+/// Point indices in execution order: descending cost, grid order breaking
+/// ties. The sweep's cursor walks exactly this list.
+fn execution_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
+    order
+}
+
 /// Key identifying one compilation in a sweep: the workload (by grid index —
 /// the kernel IR is a function of the workload and the MVL), the MVL the
 /// kernel was stripmined for, and the register-allocation inputs.
@@ -149,22 +130,19 @@ struct CacheKey {
     spill_slot_bytes: u64,
 }
 
-/// A thread-safe cache of compiled kernels shared by every point of a sweep,
-/// with an optional persistent on-disk tier ([`DiskProgramCache`]).
+/// A thread-safe cache of compiled kernels shared by every point of a sweep.
 ///
-/// Keyed on everything that feeds [`ava_compiler::compile`], so a hit —
-/// in-memory or on-disk — is guaranteed to return exactly the bytes a fresh
-/// compilation would produce. An in-memory miss consults the disk tier
-/// before compiling; a warm disk cache therefore serves a whole sweep with
-/// zero compilations.
+/// Keyed on everything that feeds [`ava_compiler::compile`], so a hit is
+/// guaranteed to return exactly the bytes a fresh compilation would
+/// produce. Each key owns one once-initialised slot: the first request
+/// compiles, and concurrent requests for the same key wait for that
+/// compilation instead of repeating it, so a sweep's miss count is exactly
+/// its number of distinct keys.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    entries: Mutex<HashMap<CacheKey, Arc<CompiledKernel>>>,
+    entries: Mutex<HashMap<CacheKey, Arc<OnceLock<Arc<CompiledKernel>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    compiles: AtomicU64,
 }
 
 impl ProgramCache {
@@ -174,93 +152,47 @@ impl ProgramCache {
         Self::default()
     }
 
-    /// Returns the cached kernel for `key`: from memory, else from `disk`
-    /// when attached, else by compiling (and checkpointing to `disk`).
+    /// Returns the cached kernel for `key`, compiling it on first request.
     fn get_or_compile(
         &self,
         key: CacheKey,
         kernel: &ava_compiler::IrKernel,
         opts: &CompileOptions,
-        disk: Option<&DiskProgramCache>,
     ) -> Arc<CompiledKernel> {
-        if let Some(hit) = self.entries.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Disk lookups and compilation run outside the lock: distinct keys
-        // must not serialise on one long compilation. Two threads racing on
-        // the same key both compile, but `compile` is deterministic so
-        // either result is correct.
-        if let Some(disk) = disk {
-            let fingerprint = compile_fingerprint(kernel, opts);
-            if let Some(cached) = disk.lookup(fingerprint) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return self
-                    .entries
-                    .lock()
-                    .expect("cache poisoned")
-                    .entry(key)
-                    .or_insert(Arc::new(cached))
-                    .clone();
-            }
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            let compiled = Arc::new(compile(kernel, opts));
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            // A failed checkpoint write just means the compilation stays
-            // uncached — never a reason to fail the sweep.
-            let _ = disk.insert(fingerprint, &compiled);
-            return self
-                .entries
+        // Compilation runs outside the map lock: distinct keys must not
+        // serialise on one long compilation.
+        let slot = Arc::clone(
+            self.entries
                 .lock()
                 .expect("cache poisoned")
                 .entry(key)
-                .or_insert(compiled)
-                .clone();
-        }
-        let compiled = Arc::new(compile(kernel, opts));
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(compiled)
-            .clone()
+                .or_default(),
+        );
+        let mut compiled_here = false;
+        let compiled = Arc::clone(slot.get_or_init(|| {
+            compiled_here = true;
+            Arc::new(compile(kernel, opts))
+        }));
+        let counter = if compiled_here {
+            &self.misses
+        } else {
+            &self.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        compiled
     }
 
-    /// Number of compilations served from the in-memory cache.
+    /// Number of compile requests served from the cache.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of compile requests the in-memory cache could not serve
-    /// (every one is then either a disk hit or an actual compilation, so
-    /// `hits() + misses()` always equals the number of compile requests).
+    /// Number of compile requests that compiled (`hits() + misses()` is
+    /// the number of requests, and `misses()` the number of distinct keys).
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// In-memory misses served from the attached [`DiskProgramCache`]
-    /// (always 0 without one).
-    #[must_use]
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// In-memory misses the attached [`DiskProgramCache`] could not serve
-    /// (always 0 without one).
-    #[must_use]
-    pub fn disk_misses(&self) -> u64 {
-        self.disk_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of compilations actually performed (`misses()` minus the
-    /// disk hits). Zero on a sweep fully served by a warm disk cache.
-    #[must_use]
-    pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
     }
 }
 
@@ -272,13 +204,8 @@ pub struct PointStats {
     pub workload: String,
     /// Configuration label of the point ("AVA X4", ...).
     pub config: String,
-    /// The scheduler's cost estimate for the point *at the moment it was
-    /// claimed*: workload element operations over the configuration's
-    /// effective width, rescaled online by the median
-    /// nanoseconds-per-heuristic-unit of every point finished so far — or
-    /// the recorded wall-clock of a previous sweep under
-    /// [`SweepRunner::recorded_costs`] / an attached store, which a
-    /// rescale never overrides. Orders execution only.
+    /// The static cost estimate the point was scheduled by
+    /// ([`Sweep::point_cost`]). Orders execution only.
     pub cost_estimate: u64,
     /// The workload's element-operation count ([`Workload::elements`]) —
     /// the denominator of derived per-element metrics such as
@@ -307,20 +234,21 @@ pub struct SweepReport {
     pub reports: Vec<RunReport>,
     /// Per-point scheduling/timing metadata, parallel to `reports`.
     pub points: Vec<PointStats>,
-    /// Compile requests served from the sweep's in-memory program cache.
+    /// Compile requests served from the sweep's program cache.
     pub cache_hits: u64,
-    /// Compile requests the in-memory program cache could not serve
+    /// Compile requests the program cache could not serve
     /// (`cache_hits + cache_misses` is the total number of requests).
     pub cache_misses: u64,
-    /// In-memory misses served from the attached [`DiskProgramCache`]
-    /// (0 without one).
+    /// Always 0. Kept only so the `sweepbench` crate's struct literal of
+    /// this type still compiles; it goes with the next change to that
+    /// benchmark.
     pub cache_disk_hits: u64,
-    /// In-memory misses the attached [`DiskProgramCache`] could not serve
-    /// (0 without one).
+    /// Always 0. Kept only so the `sweepbench` crate's struct literal of
+    /// this type still compiles; it goes with the next change to that
+    /// benchmark.
     pub cache_disk_misses: u64,
-    /// Compilations actually performed. Zero when a warm
-    /// [`DiskProgramCache`] served every miss — the warm-start invariant CI
-    /// asserts.
+    /// Compilations performed: one per distinct compile key, so equal to
+    /// `cache_misses`.
     pub compiles: u64,
     /// Points served from the attached result store (0 without a store).
     pub store_hits: u64,
@@ -329,13 +257,13 @@ pub struct SweepReport {
     pub store_misses: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Claims served from another worker's deque by the work-stealing
-    /// scheduler (always 0 on a single-threaded run, where there is nobody
-    /// to steal from).
+    /// Always 0. Kept only so the `sweepbench` crate's struct literal of
+    /// this type still compiles; it goes with the next change to that
+    /// benchmark.
     pub steals: u64,
-    /// The `(index, of)` shard this run executed ([`SweepRunner::shard`]),
-    /// or `None` for a whole-grid run. A sharded report covers only the
-    /// shard's own points, still in grid order.
+    /// Always `None`. Kept only so the `sweepbench` crate's struct literal
+    /// of this type still compiles; it goes with the next change to that
+    /// benchmark.
     pub shard: Option<(usize, usize)>,
     /// Wall-clock time of the whole sweep, in nanoseconds.
     pub wall_ns: u64,
@@ -377,7 +305,7 @@ impl SweepReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         object()
-            .field("schema", "ava-sweep-report/v1")
+            .field("schema", "ava-sweep-report/v2")
             .field(
                 "axes",
                 self.axis_names()
@@ -386,14 +314,6 @@ impl SweepReport {
                     .collect::<Json>(),
             )
             .field("threads", self.threads)
-            .field("steals", self.steals)
-            .field(
-                "shard",
-                match self.shard {
-                    Some((index, of)) => object().field("index", index).field("of", of).finish(),
-                    None => Json::Null,
-                },
-            )
             .field("wall_ns", self.wall_ns)
             .field("busy_ns", self.busy_ns())
             .field(
@@ -401,8 +321,6 @@ impl SweepReport {
                 object()
                     .field("hits", self.cache_hits)
                     .field("misses", self.cache_misses)
-                    .field("disk_hits", self.cache_disk_hits)
-                    .field("disk_misses", self.cache_disk_misses)
                     .field("compiles", self.compiles)
                     .finish(),
             )
@@ -445,12 +363,25 @@ impl SweepReport {
 /// Scenarios are resolved once, at construction, so the per-point cost is
 /// one compile + simulate pass — and construction rejects two points with
 /// the same `(workload name + size, configuration)` identity, which would
-/// make recorded-cost replay and the store's timing metadata ambiguous.
+/// make the points indistinguishable in the result store and in the JSON
+/// report.
 pub struct Sweep {
     workloads: Vec<SharedWorkload>,
     scenarios: Vec<ScenarioConfig>,
     resolved: Vec<SystemConfig>,
     points: Vec<(usize, usize)>,
+}
+
+/// The identity of one point: the workload name plus element count, and
+/// the canonical config-plus-axes key. Neither half is a display string —
+/// metadata axes like `iters` stay out of the config label by design, and
+/// one kernel legitimately appears at several problem sizes in skewed
+/// grids — hence the canonical keys.
+fn point_identity(workload: &SharedWorkload, system: &SystemConfig) -> (String, String) {
+    (
+        workload_identity(workload.name(), workload.elements() as u64),
+        config_axes_key(system.label(), &system.axes),
+    )
 }
 
 impl Sweep {
@@ -498,19 +429,9 @@ impl Sweep {
         points: Vec<(usize, usize)>,
     ) -> Self {
         let resolved: Vec<SystemConfig> = scenarios.iter().map(ScenarioConfig::resolve).collect();
-        // Every point must have a unique (workload ⊕ size, config ⊕ axes)
-        // identity: it is the key of recorded-cost replay and of the result
-        // store's timing metadata, so a duplicate would make one point's
-        // schedule speak for another. Neither half is a display string —
-        // metadata axes like `iters` stay out of the config label by
-        // design, and one kernel legitimately appears at several problem
-        // sizes in skewed grids — hence the canonical keys.
         let mut seen: HashMap<(String, String), usize> = HashMap::new();
         for (i, &(w, s)) in points.iter().enumerate() {
-            let identity = (
-                workload_identity(workloads[w].name(), workloads[w].elements() as u64),
-                config_axes_key(resolved[s].label(), &resolved[s].axes),
-            );
+            let identity = point_identity(&workloads[w], &resolved[s]);
             if let Some(&first) = seen.get(&identity) {
                 panic!(
                     "duplicate sweep point: points {first} and {i} are both \
@@ -559,67 +480,29 @@ impl Sweep {
         &self.workloads
     }
 
-    /// Starts configuring an execution of this sweep: thread count,
-    /// profile-guided scheduling and the result store are independent
-    /// builder knobs, finished with [`SweepRunner::run`].
+    /// Starts configuring an execution of this sweep: thread count and the
+    /// result store are independent builder knobs, finished with
+    /// [`SweepRunner::run`].
     #[must_use]
     pub fn runner(&self) -> SweepRunner<'_> {
         SweepRunner {
             sweep: self,
             threads: None,
-            recorded: HashMap::new(),
             store: None,
-            program_cache: None,
-            shard: None,
         }
     }
 
-    /// The static cost heuristic for one point — the workload's
+    /// The static cost estimate for one point — the workload's
     /// element-operation count divided by the configuration's effective
     /// register width (`MVL / LMUL`, normalised to the 16-element
     /// baseline). A narrower effective width means more strips and
     /// therefore more dynamic instructions to simulate for the same element
     /// count, so narrow-width points (NATIVE X1, the spill-heavy RG-LMUL8)
-    /// rank as expensive — matching recorded per-point wall-clock. A
+    /// rank as expensive — matching measured per-point wall-clock. A
     /// heuristic — it orders execution so skewed points start early, and
-    /// can never change a result. Recorded costs fed through
-    /// [`SweepRunner::recorded_costs`] or an attached store replace it
-    /// point by point.
+    /// can never change a result.
     #[must_use]
     pub fn point_cost(&self, point: usize) -> u64 {
-        self.heuristic_cost(point)
-    }
-
-    /// The scheduling identity of one point: the workload name plus element
-    /// count, and the canonical config-plus-axes key.
-    fn point_identity(&self, point: usize) -> (String, String) {
-        let (w, s) = self.points[point];
-        (
-            workload_identity(
-                self.workloads[w].name(),
-                self.workloads[w].elements() as u64,
-            ),
-            config_axes_key(self.resolved[s].label(), &self.resolved[s].axes),
-        )
-    }
-
-    /// The recorded wall-clock for one point's identity, if `recorded`
-    /// has seen it.
-    fn recorded_cost_in(
-        &self,
-        point: usize,
-        recorded: &HashMap<(String, String), u64>,
-    ) -> Option<u64> {
-        // Guarded so the common no-feedback path stays allocation-free.
-        if recorded.is_empty() {
-            return None;
-        }
-        recorded.get(&self.point_identity(point)).copied()
-    }
-
-    /// The static cost heuristic for one point (element operations over the
-    /// effective width).
-    fn heuristic_cost(&self, point: usize) -> u64 {
         let (w, s) = self.points[point];
         let system = &self.resolved[s];
         let elements = self.workloads[w].elements() as u64;
@@ -627,100 +510,19 @@ impl Sweep {
         heuristic_points_cost(elements, width)
     }
 
-    /// Every point's cost estimate, computed once per sweep execution:
-    /// [`Workload::elements`] can be arbitrarily expensive (composite
-    /// workloads sum their phases), so neither the execution-order sort nor
-    /// the report assembly recomputes it per use.
-    ///
-    /// When recorded costs cover only part of the grid, the unseen points'
-    /// heuristic estimates are rescaled by the median nanoseconds-per-
-    /// heuristic-unit observed on the covered points: raw element counts
-    /// and wall-clock nanoseconds are not commensurable, and without the
-    /// rescale one new grid point would sort arbitrarily against every
-    /// measured point. The rescale (like every cost) only orders execution
-    /// and can never change a result.
-    ///
-    /// [`Workload::elements`]: ava_workloads::Workload::elements
-    #[cfg(test)]
-    fn point_costs(&self, recorded_map: &HashMap<(String, String), u64>) -> Vec<u64> {
-        let owned: Vec<usize> = (0..self.points.len()).collect();
-        self.scheduler(&owned, 1, recorded_map).initial_costs()
-    }
-
-    /// The claim-time scheduler for one execution over the `owned` subset
-    /// of the grid: initial cost estimates from recorded timings where
-    /// available (heuristics rescaled by the median recorded
-    /// ns-per-heuristic-unit to fill the gaps), dealt across `workers`
-    /// deques and re-ranked online as this run's own timings land.
-    fn scheduler(
-        &self,
-        owned: &[usize],
-        workers: usize,
-        recorded_map: &HashMap<(String, String), u64>,
-    ) -> WorkStealScheduler {
-        let heuristic: Vec<u64> = owned.iter().map(|&i| self.heuristic_cost(i)).collect();
-        let recorded: Vec<Option<u64>> = owned
-            .iter()
-            .map(|&i| self.recorded_cost_in(i, recorded_map))
-            .collect();
-        WorkStealScheduler::new(workers, heuristic, recorded)
-    }
-
-    /// The grid-order point indices owned by shard `index` of `of`.
-    ///
-    /// The partition hashes each point's canonical identity — the same
-    /// stable `(workload ⊕ size, config ⊕ axes)` keys recorded-cost replay
-    /// and the result store use — with the workspace's fixed FNV-1a
-    /// fingerprint, so every process (or machine) computes the identical
-    /// partition with no communication, and the shards are disjoint and
-    /// exhaustive by construction. `shard_points(0, 1)` is the whole grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of` is zero or `index` is not below `of`.
-    #[must_use]
-    pub fn shard_points(&self, index: usize, of: usize) -> Vec<usize> {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        (0..self.points.len())
-            .filter(|&i| {
-                let (workload, config) = self.point_identity(i);
-                let mut hash = ava_workloads::Fingerprint::new();
-                hash.write_str(&workload);
-                hash.write_str(&config);
-                (hash.finish() % of as u64) as usize == index
-            })
-            .collect()
-    }
-
-    /// Point indices in execution order under *fixed* costs: descending
-    /// cost estimate, grid order as the tie-break. The online scheduler
-    /// claims in exactly this order until its first completion lands;
-    /// kept as the test oracle for the initial schedule.
-    #[cfg(test)]
-    fn execution_order(&self, costs: &[u64]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.points.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-        order
-    }
-
     #[cfg(test)]
     fn run_point(&self, point: usize, cache: &ProgramCache) -> RunReport {
-        self.run_point_stored(point, cache, None, None).0
+        self.run_point_stored(point, cache, None).0
     }
 
-    /// Runs one point through the shared program cache (and its optional
-    /// on-disk tier), consulting `store` when attached. Returns the report
-    /// and whether it came from the store.
+    /// Runs one point through the shared program cache, consulting `store`
+    /// when attached. Returns the report and whether it came from the
+    /// store.
     fn run_point_stored(
         &self,
         point: usize,
         cache: &ProgramCache,
         store: Option<&ResultStore>,
-        program_cache: Option<&DiskProgramCache>,
     ) -> (RunReport, bool) {
         let (w, s) = self.points[point];
         let workload = &self.workloads[w];
@@ -736,233 +538,15 @@ impl Sweep {
                     spill_base: opts.spill_base,
                     spill_slot_bytes: opts.spill_slot_bytes,
                 };
-                cache.get_or_compile(key, kernel, opts, program_cache)
+                cache.get_or_compile(key, kernel, opts)
             },
             store,
         )
     }
 }
 
-/// The median of a sorted slice of observations, or 1.0 when empty (the
-/// heuristic is then internally consistent without rescaling).
-fn sorted_median(ratios: &[f64]) -> f64 {
-    if ratios.is_empty() {
-        return 1.0;
-    }
-    let mid = ratios.len() / 2;
-    if ratios.len() % 2 == 1 {
-        ratios[mid]
-    } else {
-        f64::midpoint(ratios[mid - 1], ratios[mid])
-    }
-}
-
-/// The two-tier work-stealing point scheduler behind [`SweepRunner::run`].
-///
-/// Tier one is **distribution**: the points are ranked once by descending
-/// initial cost estimate (recorded wall-clock where known, the static
-/// heuristic rescaled by the median recorded ns-per-heuristic-unit
-/// otherwise; grid order breaks ties) and dealt round-robin into one
-/// pending deque per worker, so every worker starts with a balanced mix of
-/// expensive and cheap points. Tier two is **execution**: a worker claims
-/// the highest-cost pending point of its *own* deque — each deque sits
-/// behind its own small lock, so claims never serialise on one global
-/// mutex the way the previous single-`Mutex` scheduler did — and a worker
-/// whose deque runs dry *steals* the highest-cost pending point from the
-/// most-loaded victim, so nobody idles while a skewed point's backlog
-/// queues behind one thread.
-///
-/// The online re-ranking survives at the batch level: every finished point
-/// feeds its measured wall-clock back as a nanoseconds-per-heuristic-unit
-/// observation, and the median of all observations — seed ratios from
-/// recorded costs plus everything that landed this run — is published as a
-/// single atomic scale factor that each claim reads to re-rank the
-/// candidates it is choosing between. Points with recorded timings keep
-/// them (a measurement always beats a rescaled guess).
-///
-/// Cost estimates only order execution: given the same sequence of claim
-/// and completion events the schedule is fully deterministic, and under
-/// any timing feed, worker count or steal pattern the results are
-/// bit-identical — only the schedule moves. With one worker the scheduler
-/// degenerates to exactly the old global claim order (highest current
-/// cost, grid order on ties).
-pub struct WorkStealScheduler {
-    /// Per-worker pending deques of point indices, each behind its own
-    /// lock. A local claim touches exactly one shard; a steal locks only
-    /// the victim's (never two shards at once, so no lock-order cycles).
-    deques: Vec<Mutex<Vec<usize>>>,
-    /// Deque occupancy mirrors, so victim selection scans without locking.
-    /// Updated under the owning deque's lock and only ever decreasing, a
-    /// stale read can overestimate a victim (harmless: the steal locks and
-    /// re-checks) but never hide pending work.
-    occupancy: Vec<AtomicUsize>,
-    /// Static heuristic per point — the unit the median ratio rescales.
-    heuristic: Vec<u64>,
-    /// Recorded wall-clock per point; a recording is never rescaled.
-    recorded: Vec<Option<u64>>,
-    /// Bit pattern of the current median ns-per-heuristic-unit `f64`,
-    /// republished on every completion and read on every claim.
-    scale_bits: AtomicU64,
-    /// Sorted ns-per-heuristic-unit observations (recorded seeds plus this
-    /// run's completions).
-    ratios: Mutex<Vec<f64>>,
-    /// Claims served from another worker's deque.
-    steals: AtomicU64,
-}
-
-impl WorkStealScheduler {
-    /// Builds the initial schedule for `workers` deques from the static
-    /// `heuristic` costs and the `recorded` wall-clock times covering part
-    /// (or none) of the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or the slices disagree in length.
-    #[must_use]
-    pub fn new(workers: usize, heuristic: Vec<u64>, recorded: Vec<Option<u64>>) -> Self {
-        assert!(workers >= 1, "a scheduler needs at least one worker");
-        assert_eq!(heuristic.len(), recorded.len());
-        let mut ratios = Vec::new();
-        for (h, r) in heuristic.iter().zip(&recorded) {
-            if let Some(ns) = *r {
-                push_ratio(&mut ratios, *h, ns);
-            }
-        }
-        let scale = sorted_median(&ratios);
-        let scheduler = Self {
-            deques: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            occupancy: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            heuristic,
-            recorded,
-            scale_bits: AtomicU64::new(scale.to_bits()),
-            ratios: Mutex::new(ratios),
-            steals: AtomicU64::new(0),
-        };
-        // Cost-sorted round-robin distribution: rank every point by its
-        // initial estimate, then deal rank j to deque j mod workers, so
-        // each worker starts with its fair share of the expensive points.
-        let costs = scheduler.initial_costs();
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-        for (rank, &point) in order.iter().enumerate() {
-            let deque = rank % workers;
-            scheduler.deques[deque]
-                .lock()
-                .expect("deque poisoned")
-                .push(point);
-            scheduler.occupancy[deque].fetch_add(1, Ordering::Relaxed);
-        }
-        scheduler
-    }
-
-    /// Every point's cost estimate under the current median scale.
-    fn initial_costs(&self) -> Vec<u64> {
-        let scale = f64::from_bits(self.scale_bits.load(Ordering::Relaxed));
-        (0..self.heuristic.len())
-            .map(|i| self.cost_of(i, scale))
-            .collect()
-    }
-
-    /// The current cost estimate of one point: its recorded nanoseconds if
-    /// any, else the heuristic rescaled by `scale` (`f64 as u64` saturates,
-    /// so a huge product — or the zero-width max-cost sentinel — stays the
-    /// maximum).
-    fn cost_of(&self, point: usize, scale: f64) -> u64 {
-        match self.recorded[point] {
-            Some(ns) => ns,
-            None => ((self.heuristic[point] as f64 * scale).round() as u64).max(1),
-        }
-    }
-
-    /// Removes the highest-cost entry of one locked deque under the current
-    /// median (earliest position — i.e. highest initial rank — on ties),
-    /// returning its point index and claim-time cost estimate.
-    fn pop_best(&self, deque: &mut Vec<usize>) -> Option<(usize, u64)> {
-        let scale = f64::from_bits(self.scale_bits.load(Ordering::Relaxed));
-        let mut best: Option<(usize, u64)> = None;
-        for (pos, &point) in deque.iter().enumerate() {
-            let cost = self.cost_of(point, scale);
-            if best.is_none_or(|(_, b)| cost > b) {
-                best = Some((pos, cost));
-            }
-        }
-        let (pos, cost) = best?;
-        Some((deque.remove(pos), cost))
-    }
-
-    /// Claims the most expensive pending point for `worker`: from its own
-    /// deque, else stolen from the most-loaded victim. Returns the point
-    /// index and claim-time cost estimate, or `None` when every deque is
-    /// empty (every remaining point is already claimed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is not below the scheduler's worker count.
-    pub fn claim(&self, worker: usize) -> Option<(usize, u64)> {
-        {
-            let mut own = self.deques[worker].lock().expect("deque poisoned");
-            if let Some(claimed) = self.pop_best(&mut own) {
-                self.occupancy[worker].store(own.len(), Ordering::Relaxed);
-                return Some(claimed);
-            }
-        }
-        self.steal(worker)
-    }
-
-    /// Steals the highest-cost pending point from the most-loaded victim
-    /// (lowest worker index on ties). Occupancy mirrors can overestimate,
-    /// so a raced-empty victim just re-runs the scan; mirrors never
-    /// underestimate, so `None` means genuinely nothing left to claim.
-    fn steal(&self, thief: usize) -> Option<(usize, u64)> {
-        loop {
-            let victim = (0..self.deques.len())
-                .filter(|&w| w != thief)
-                .map(|w| (self.occupancy[w].load(Ordering::Relaxed), w))
-                .filter(|&(load, _)| load > 0)
-                .max_by_key(|&(load, w)| (load, std::cmp::Reverse(w)))?
-                .1;
-            let mut deque = self.deques[victim].lock().expect("deque poisoned");
-            if let Some(claimed) = self.pop_best(&mut deque) {
-                self.occupancy[victim].store(deque.len(), Ordering::Relaxed);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(claimed);
-            }
-            self.occupancy[victim].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Feeds one finished point's measured wall-clock back into the
-    /// schedule: its ns-per-heuristic-unit observation joins the sorted
-    /// list and the republished median re-ranks every later claim.
-    pub fn complete(&self, point: usize, wall_ns: u64) {
-        let mut ratios = self.ratios.lock().expect("ratios poisoned");
-        push_ratio(&mut ratios, self.heuristic[point], wall_ns.max(1));
-        self.scale_bits
-            .store(sorted_median(&ratios).to_bits(), Ordering::Relaxed);
-    }
-
-    /// Number of claims served from another worker's deque so far.
-    #[must_use]
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Inserts one ns-per-heuristic-unit observation into the sorted list.
-/// The degenerate zero-width sentinel is not a real unit count — its ratio
-/// would drag the median toward zero — so it is skipped.
-fn push_ratio(ratios: &mut Vec<f64>, heuristic: u64, wall_ns: u64) {
-    if heuristic == u64::MAX {
-        return;
-    }
-    let ratio = wall_ns as f64 / heuristic.max(1) as f64;
-    let pos = ratios.partition_point(|&r| r < ratio);
-    ratios.insert(pos, ratio);
-}
-
 /// Builder-style execution of one [`Sweep`]: configure the thread count
-/// ([`SweepRunner::threads`]), profile-guided scheduling
-/// ([`SweepRunner::recorded_costs`]) and the on-disk result store
+/// ([`SweepRunner::threads`]) and the on-disk result store
 /// ([`SweepRunner::store`]) independently, then [`SweepRunner::run`].
 ///
 /// ```no_run
@@ -974,21 +558,14 @@ fn push_ratio(ratios: &mut Vec<f64>, heuristic: u64, wall_ns: u64) {
 /// # );
 /// let store = ResultStore::open("results").unwrap();
 /// let first = sweep.runner().threads(4).store(&store).run();
-/// // Later sweeps reuse both the stored results and the recorded timings.
-/// let again = sweep
-///     .runner()
-///     .recorded_costs(&first)
-///     .store(&store)
-///     .run();
+/// // A later sweep over the same store simulates nothing.
+/// let again = sweep.runner().store(&store).run();
 /// assert_eq!(again.store_hits, again.points.len() as u64);
 /// ```
 pub struct SweepRunner<'a> {
     sweep: &'a Sweep,
     threads: Option<usize>,
-    recorded: HashMap<(String, String), u64>,
     store: Option<&'a ResultStore>,
-    program_cache: Option<&'a DiskProgramCache>,
-    shard: Option<(usize, usize)>,
 }
 
 impl<'a> SweepRunner<'a> {
@@ -1001,136 +578,42 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Profile-guided scheduling: feeds a previous sweep's measured
-    /// per-point wall-clock back into this run's execution order. Points
-    /// whose `(workload, configuration)` identity appears in `report` are
-    /// ordered by the recorded nanoseconds instead of the static
-    /// [`Workload::elements`] heuristic; unseen points fall back to the
-    /// heuristic, *rescaled into the recorded unit* so a new grid point
-    /// sorts commensurably against the measured ones rather than
-    /// arbitrarily. Calling this several times (or combining it with an
-    /// attached store, whose recorded wall times join the same map) keeps
-    /// the *largest* recorded time per identity, so an ambiguous point is
-    /// scheduled early rather than risking it tailing the sweep. Like the
-    /// heuristic, recorded costs only order execution and can never change
-    /// a result.
-    ///
-    /// [`Workload::elements`]: ava_workloads::Workload::elements
-    #[must_use]
-    pub fn recorded_costs(mut self, report: &SweepReport) -> Self {
-        for (p, r) in report.points.iter().zip(&report.reports) {
-            let key = (
-                workload_identity(&p.workload, p.elements),
-                config_axes_key(&p.config, &r.axes),
-            );
-            let entry = self.recorded.entry(key).or_insert(0);
-            *entry = (*entry).max(p.wall_ns.max(1));
-        }
-        self
-    }
-
     /// Attaches the on-disk result store: points with a usable entry are
-    /// served from it instead of being simulated, every freshly simulated
-    /// point is checkpointed into it as it finishes, and the store's
-    /// recorded wall times seed the execution order (largest time wins when
-    /// they overlap with [`SweepRunner::recorded_costs`]).
+    /// served from it instead of being simulated, and every freshly
+    /// simulated point is checkpointed into it as it finishes.
     #[must_use]
     pub fn store(mut self, store: &'a ResultStore) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// Restricts this execution to shard `index` of `of` equal slices of
-    /// the grid ([`Sweep::shard_points`]): every process hashing the same
-    /// point identities computes the same partition, so `of` independent
-    /// processes — or machines sharing one store directory — cover the grid
-    /// exactly once with no communication. The returned report holds only
-    /// the shard's own points (in grid order); run the full grid afterwards
-    /// with an attached [`SweepRunner::store`] to assemble the complete
-    /// report from all-hits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of` is zero or `index` is not below `of`.
-    #[must_use]
-    pub fn shard(mut self, index: usize, of: usize) -> Self {
-        assert!(of >= 1, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        self.shard = Some((index, of));
-        self
-    }
-
-    /// Attaches the persistent on-disk program cache: compilations the
-    /// in-memory per-sweep cache misses are served from `cache` when a
-    /// usable entry exists, and every fresh compilation is checkpointed
-    /// into it. A warm cache serves a whole sweep with zero compilations
-    /// ([`SweepReport::compiles`]); corrupted or version-drifted entries
-    /// degrade to misses and are overwritten in place.
-    #[must_use]
-    pub fn program_cache(mut self, cache: &'a DiskProgramCache) -> Self {
-        self.program_cache = Some(cache);
-        self
-    }
-
-    /// Explicit recorded costs and the store's recorded wall times,
-    /// max-merged into one scheduling map.
-    fn merged_recorded(&self) -> HashMap<(String, String), u64> {
-        let mut recorded = self.recorded.clone();
-        if let Some(store) = self.store {
-            for (key, wall_ns) in store.recorded_costs() {
-                let entry = recorded.entry(key).or_insert(0);
-                *entry = (*entry).max(wall_ns);
-            }
-        }
-        recorded
-    }
-
-    /// The per-point cost estimates this run will *start* scheduling by:
-    /// recorded costs where known, heuristics rescaled to fill the gaps.
-    /// The online scheduler then re-ranks still-pending points as measured
-    /// timings land during the run.
-    #[cfg(test)]
-    fn effective_costs(&self) -> Vec<u64> {
-        self.sweep.point_costs(&self.merged_recorded())
-    }
-
-    /// Executes the sweep. Results come back in point order and are
-    /// bit-identical at any thread count, with or without a store, and
-    /// under any cost estimates.
+    /// Executes the sweep. Workers claim points in descending cost order
+    /// through one shared cursor; results come back in point order and are
+    /// bit-identical at any thread count, with or without a store.
     #[must_use]
     pub fn run(self) -> SweepReport {
         let sweep = self.sweep;
-        // The points this execution owns, in grid order. `local` indices
-        // below index into this list; `owned[local]` is the grid index.
-        let owned: Vec<usize> = match self.shard {
-            Some((index, of)) => sweep.shard_points(index, of),
-            None => (0..sweep.points.len()).collect(),
-        };
-        let n = owned.len();
+        let n = sweep.points.len();
         let requested = self.threads.unwrap_or_else(|| {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let workers = requested.clamp(1, n.max(1));
         let cache = ProgramCache::new();
-        let scheduler = sweep.scheduler(&owned, workers, &self.merged_recorded());
+        let costs: Vec<u64> = (0..n).map(|i| sweep.point_cost(i)).collect();
+        let order = execution_order(&costs);
+        let cursor = AtomicUsize::new(0);
         let store = self.store;
-        let program_cache = self.program_cache;
         let sweep_start = Instant::now();
-        // (report, from_store, wall_ns, worker, claim-time cost estimate)
-        type PointSlot = (RunReport, bool, u64, usize, u64);
+        // (report, from_store, wall_ns, worker)
+        type PointSlot = (RunReport, bool, u64, usize);
         let slots: Vec<OnceLock<PointSlot>> = (0..n).map(|_| OnceLock::new()).collect();
         let work = |worker: usize| {
-            while let Some((local, cost)) = scheduler.claim(worker) {
+            while let Some(&point) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let point_start = Instant::now();
-                let (report, from_store) =
-                    sweep.run_point_stored(owned[local], &cache, store, program_cache);
+                let (report, from_store) = sweep.run_point_stored(point, &cache, store);
                 let wall_ns = point_start.elapsed().as_nanos() as u64;
-                scheduler.complete(local, wall_ns);
-                slots[local]
-                    .set((report, from_store, wall_ns, worker, cost))
+                slots[point]
+                    .set((report, from_store, wall_ns, worker))
                     .expect("each point is claimed by one worker");
             }
         };
@@ -1147,14 +630,14 @@ impl<'a> SweepRunner<'a> {
 
         let mut reports = Vec::with_capacity(n);
         let mut points = Vec::with_capacity(n);
-        for (local, slot) in slots.into_iter().enumerate() {
-            let (report, from_store, wall_ns, worker, cost_estimate) =
+        for (point, slot) in slots.into_iter().enumerate() {
+            let (report, from_store, wall_ns, worker) =
                 slot.into_inner().expect("every point completed");
             points.push(PointStats {
                 workload: report.workload.clone(),
                 config: report.config.clone(),
-                cost_estimate,
-                elements: sweep.workloads[sweep.points[owned[local]].0].elements() as u64,
+                cost_estimate: costs[point],
+                elements: sweep.workloads[sweep.points[point].0].elements() as u64,
                 wall_ns,
                 worker,
                 from_store,
@@ -1172,14 +655,14 @@ impl<'a> SweepRunner<'a> {
             points,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            cache_disk_hits: cache.disk_hits(),
-            cache_disk_misses: cache.disk_misses(),
-            compiles: cache.compiles(),
+            cache_disk_hits: 0,
+            cache_disk_misses: 0,
+            compiles: cache.misses(),
             store_hits,
             store_misses,
             threads: workers,
-            steals: scheduler.steals(),
-            shard: self.shard,
+            steals: 0,
+            shard: None,
             wall_ns: sweep_start.elapsed().as_nanos() as u64,
         }
     }
@@ -1190,6 +673,7 @@ mod tests {
     use super::*;
     use ava_isa::Lmul;
     use ava_workloads::{Axpy, Blackscholes, Workload};
+    use std::collections::HashSet;
 
     fn small_scenarios() -> Vec<ScenarioConfig> {
         vec![
@@ -1205,8 +689,8 @@ mod tests {
         (workloads, small_scenarios())
     }
 
-    fn no_recorded() -> HashMap<(String, String), u64> {
-        HashMap::new()
+    fn costs(sweep: &Sweep) -> Vec<u64> {
+        (0..sweep.len()).map(|i| sweep.point_cost(i)).collect()
     }
 
     #[test]
@@ -1240,8 +724,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate sweep point")]
     fn duplicate_point_identities_are_rejected_at_construction() {
-        // Two workloads with the same name() crossed with one scenario are
-        // indistinguishable to recorded-cost replay and the result store.
+        // Two workloads with the same name() and size crossed with one
+        // scenario are indistinguishable in the store and the JSON report.
         let workloads: Vec<SharedWorkload> =
             vec![Arc::new(Axpy::new(256)), Arc::new(Axpy::new(256))];
         let _ = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
@@ -1259,7 +743,11 @@ mod tests {
         ];
         assert_eq!(scenarios[0].label(), scenarios[1].label());
         let sweep = Sweep::grid(workloads, scenarios);
-        assert_ne!(sweep.point_identity(0), sweep.point_identity(1));
+        let systems = sweep.resolved_systems();
+        assert_ne!(
+            point_identity(&sweep.workloads[0], &systems[0]),
+            point_identity(&sweep.workloads[0], &systems[1])
+        );
     }
 
     #[test]
@@ -1271,68 +759,17 @@ mod tests {
         ];
         let systems = vec![ScenarioConfig::native_x(1)];
         let sweep = Sweep::grid(workloads, systems);
-        let order = sweep.execution_order(&sweep.point_costs(&no_recorded()));
+        let costs = costs(&sweep);
+        let order = execution_order(&costs);
         assert_eq!(order[0], 1, "the huge Blackscholes point must start first");
-        assert_eq!(
-            sweep.point_cost(1),
-            sweep
-                .point_cost(1)
-                .max(sweep.point_cost(0))
-                .max(sweep.point_cost(2))
+        assert!(
+            order.windows(2).all(|w| costs[w[0]] >= costs[w[1]]),
+            "the cursor walks descending cost"
         );
-    }
-
-    #[test]
-    fn recorded_costs_reorder_execution_without_changing_results() {
-        // The static heuristic ranks the big Blackscholes first; recorded
-        // wall-clock claiming Axpy is the slow point must flip the order —
-        // and the reports must stay bit-identical either way.
-        let workloads: Vec<SharedWorkload> =
-            vec![Arc::new(Axpy::new(128)), Arc::new(Blackscholes::new(1024))];
-        let systems = vec![ScenarioConfig::native_x(1)];
-        let sweep = Sweep::grid(workloads, systems);
-        let baseline = sweep.runner().threads(1).run();
-        assert_eq!(
-            sweep.execution_order(&sweep.point_costs(&no_recorded())),
-            vec![1, 0]
-        );
-
-        // Forge a report claiming the Axpy point took far longer.
-        let mut forged = baseline.clone();
-        forged.points[0].wall_ns = 1_000_000_000;
-        forged.points[1].wall_ns = 1_000;
-        let tuned = sweep.runner().recorded_costs(&forged);
-        let costs = tuned.effective_costs();
-        assert_eq!(costs, vec![1_000_000_000, 1_000]);
-        assert_eq!(sweep.execution_order(&costs), vec![0, 1]);
-
-        let retimed = tuned.threads(2).run();
-        for (a, b) in baseline.reports.iter().zip(&retimed.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "results must not move");
-        }
-        // The recorded costs surface as the new points' cost estimates.
-        assert_eq!(retimed.points[0].cost_estimate, 1_000_000_000);
-    }
-
-    #[test]
-    fn recorded_costs_key_on_axes_not_just_labels() {
-        // Two scenarios sharing one display label (the iters metadata axis
-        // stays out of it) must not alias in recorded-cost replay.
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let scenarios = vec![
-            ScenarioConfig::ava_x(2).with_iters(2),
-            ScenarioConfig::ava_x(2).with_iters(4),
-        ];
-        let sweep = Sweep::grid(workloads, scenarios);
-        let mut forged = sweep.runner().threads(1).run();
-        forged.points[0].wall_ns = 9_000;
-        forged.points[1].wall_ns = 70;
-        let costs = sweep.runner().recorded_costs(&forged).effective_costs();
-        assert_eq!(
-            costs,
-            vec![9_000, 70],
-            "label-only keying would have max-merged both points to 9000"
-        );
+        // The run schedules by, and reports, exactly these estimates.
+        let report = sweep.runner().threads(1).run();
+        let reported: Vec<u64> = report.points.iter().map(|p| p.cost_estimate).collect();
+        assert_eq!(reported, costs);
     }
 
     #[test]
@@ -1349,58 +786,13 @@ mod tests {
     }
 
     #[test]
-    fn unseen_labels_are_rescaled_into_the_recorded_unit() {
-        // One recorded point (wall-clock nanoseconds) and one unseen point
-        // (element-count heuristic): the raw units are not commensurable.
-        // NATIVE X1 is heuristically the *more* expensive point (narrower
-        // effective width), so after rescaling it must still sort first —
-        // comparing the raw heuristic against the raw nanoseconds would
-        // have flipped the order.
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(4096))];
-        let recorded_grid = Sweep::grid(workloads.clone(), vec![ScenarioConfig::native_x(1)]);
-        let mut forged = recorded_grid.runner().threads(1).run();
-        forged.points[0].wall_ns = 50;
-
-        let sweep = Sweep::grid(
-            workloads,
-            vec![ScenarioConfig::native_x(1), ScenarioConfig::ava_x(2)],
-        );
-        let runner = sweep.runner().recorded_costs(&forged);
-        // Heuristics: X1 = 4096*4*16/16 = 16384, X2 (width 32) = 8192.
-        assert_eq!(sweep.heuristic_cost(0), 16384);
-        assert_eq!(sweep.heuristic_cost(1), 8192);
-        let costs = runner.effective_costs();
-        // The recorded point keeps its nanoseconds; the unseen point's
-        // heuristic is scaled by 50 ns / 16384 units ≈ 0.00305..., i.e.
-        // 8192 * 50 / 16384 = 25 ns.
-        assert_eq!(costs, vec![50, 25]);
-        assert_eq!(
-            sweep.execution_order(&costs),
-            vec![0, 1],
-            "the heuristically-narrower X1 point must still be scheduled \
-             first; raw unit mixing would have ranked the unseen point's \
-             8192 'elements' above 50 ns"
-        );
-        // And, like every cost, the rescale cannot move a result.
-        let reports = runner.threads(2).run().into_reports();
-        assert!(reports.iter().all(|r| r.validated));
-        assert_eq!(reports[0].config, "NATIVE X1");
-        assert_eq!(reports[1].config, "AVA X2");
-    }
-
-    #[test]
-    fn recorded_costs_fall_back_to_the_heuristic_for_unseen_labels() {
+    fn point_cost_is_elements_over_the_effective_width() {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads.clone(), vec![ScenarioConfig::native_x(1)]);
-        let report = sweep.runner().threads(1).run();
-        // A different grid (new config label) keeps the heuristic.
-        let other = Sweep::grid(workloads, vec![ScenarioConfig::ava_x(2)]);
-        let costs = other.runner().recorded_costs(&report).effective_costs();
-        assert_eq!(other.point_cost(0), costs[0]);
+        let sweep = Sweep::grid(workloads, vec![ScenarioConfig::ava_x(2)]);
         assert_eq!(
-            other.point_cost(0),
+            sweep.point_cost(0),
             (Axpy::new(128).elements() as u64 * 16 / 32).max(1),
-            "unseen label must use elements() over the effective width"
+            "AVA X2 has an effective width of 32 elements"
         );
     }
 
@@ -1421,9 +813,10 @@ mod tests {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(256))];
         let scenarios = vec![ScenarioConfig::native_x(2), ScenarioConfig::ava_x(2)];
         let sweep = Sweep::grid(workloads, scenarios);
-        let costs = sweep.point_costs(&no_recorded());
+        let costs = costs(&sweep);
         assert_eq!(costs[0], costs[1], "the tie this test is about");
-        assert_eq!(sweep.execution_order(&costs), vec![0, 1]);
+        assert_eq!(execution_order(&costs), vec![0, 1]);
+        assert_eq!(execution_order(&[5, 9, 5, 9]), vec![1, 3, 0, 2]);
     }
 
     #[test]
@@ -1453,6 +846,38 @@ mod tests {
             6,
             "one compile request per point"
         );
+    }
+
+    #[test]
+    fn compile_counters_are_deterministic_under_racing_workers() {
+        // NATIVE X2 and AVA X2 share a compile key, so the grid has fewer
+        // keys than points; workers racing on one key must wait for its
+        // single compilation, never repeat it.
+        let workloads: Vec<SharedWorkload> =
+            vec![Arc::new(Axpy::new(256)), Arc::new(Blackscholes::new(64))];
+        let scenarios = vec![
+            ScenarioConfig::native_x(2),
+            ScenarioConfig::ava_x(2),
+            ScenarioConfig::native_x(1),
+            ScenarioConfig::rg_lmul(Lmul::M4),
+        ];
+        let sweep = Sweep::grid(workloads, scenarios);
+        let keys: HashSet<(usize, usize, usize)> = sweep
+            .points
+            .iter()
+            .map(|&(w, s)| {
+                let system = &sweep.resolved[s];
+                (w, system.mvl(), system.compiler_lmul.factor())
+            })
+            .collect();
+        let k = keys.len() as u64;
+        assert!(k < sweep.len() as u64, "the grid must share keys");
+        for _ in 0..5 {
+            let report = sweep.runner().threads(2).run();
+            assert_eq!(report.cache_misses, k);
+            assert_eq!(report.compiles, k);
+            assert_eq!(report.cache_hits, sweep.len() as u64 - k);
+        }
     }
 
     #[test]
@@ -1541,11 +966,11 @@ mod tests {
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
         let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
         let json = sweep.runner().threads(2).run().to_json().to_string();
-        assert!(json.starts_with("{\"schema\":\"ava-sweep-report/v1\""));
-        assert!(json.contains("\"cache\":{\"hits\":"));
+        assert!(json.starts_with("{\"schema\":\"ava-sweep-report/v2\""));
+        assert!(json.contains("\"cache\":{\"hits\":0,\"misses\":1,\"compiles\":1}"));
         assert!(json.contains("\"store\":{\"hits\":0,\"misses\":0}"));
-        assert!(json.contains("\"steals\":"));
-        assert!(json.contains("\"shard\":null"), "unsharded runs emit null");
+        assert!(!json.contains("\"steals\""), "{json}");
+        assert!(!json.contains("\"shard\""), "{json}");
         assert!(json.contains("\"cost_estimate\":"));
         assert!(json.contains("\"from_store\":false"));
         assert!(json.contains("\"report\":{\"config\":\"NATIVE X1\""));
@@ -1568,181 +993,6 @@ mod tests {
         let json = report.to_json().to_string();
         assert!(json.contains("\"axes\":[\"l2_kib\"]"));
         assert!(json.contains("\"axes\":{\"l2_kib\":512}"));
-    }
-
-    #[test]
-    fn scheduler_rescales_pending_points_as_results_land() {
-        // Three unmeasured points; the initial order is by raw heuristic.
-        let s = WorkStealScheduler::new(1, vec![1000, 100, 10], vec![None, None, None]);
-        assert_eq!(s.claim(0), Some((0, 1000)));
-        // Point 0 finishing at 10 ns per heuristic unit rescales the rest.
-        s.complete(0, 10_000);
-        assert_eq!(s.claim(0), Some((1, 1000)), "100 units * 10 ns/unit");
-        // A second, slower observation moves the median to 255 ns/unit.
-        s.complete(1, 50_000);
-        assert_eq!(s.claim(0), Some((2, 2550)));
-        s.complete(2, 1);
-        assert_eq!(s.claim(0), None, "all points claimed exactly once");
-        assert_eq!(s.steals(), 0, "one worker has nobody to steal from");
-    }
-
-    #[test]
-    fn scheduler_never_rescales_measured_points() {
-        // Point 0 carries a recorded timing (100 ns over 100 units seeds a
-        // 1 ns/unit median), point 1 starts from the rescaled heuristic.
-        let s = WorkStealScheduler::new(1, vec![100, 100], vec![Some(100), None]);
-        assert_eq!(s.initial_costs(), vec![100, 100]);
-        // Grid order breaks the tie; the claim-time cost is the recording.
-        assert_eq!(s.claim(0), Some((0, 100)));
-        // The measured point finishing far slower than recorded re-ranks
-        // the unmeasured point, never the recording itself.
-        s.complete(0, 300_000);
-        assert_eq!(
-            s.claim(0),
-            Some((1, 150_050)),
-            "median of ratios [1, 3000] is 1500.5 ns/unit"
-        );
-    }
-
-    #[test]
-    fn scheduler_is_deterministic_given_the_same_timings() {
-        let feed = [(50_u64, 7_000_u64), (8, 100), (300, 2)];
-        let run = || {
-            let s = WorkStealScheduler::new(1, vec![50, 8, 300], vec![None, None, None]);
-            let mut order = Vec::new();
-            while let Some((i, cost)) = s.claim(0) {
-                order.push((i, cost));
-                s.complete(i, feed[i].1);
-            }
-            order
-        };
-        assert_eq!(run(), run(), "same timings feed, same schedule");
-        assert_eq!(run()[0], (2, 300), "initial claim follows the heuristic");
-    }
-
-    #[test]
-    fn scheduler_deals_points_round_robin_by_descending_cost() {
-        // Rank order is 0,1,2,3; two workers deal ranks alternately, so
-        // worker 0 owns {0, 2} and worker 1 owns {1, 3} — each deque gets
-        // its fair share of the expensive points.
-        let s = WorkStealScheduler::new(2, vec![40, 30, 20, 10], vec![None; 4]);
-        assert_eq!(s.claim(0), Some((0, 40)));
-        assert_eq!(s.claim(1), Some((1, 30)));
-        assert_eq!(s.claim(0), Some((2, 20)));
-        assert_eq!(s.claim(1), Some((3, 10)));
-        assert_eq!(s.claim(0), None);
-        assert_eq!(s.steals(), 0, "both workers stayed on their own deques");
-    }
-
-    #[test]
-    fn an_idle_worker_steals_the_highest_cost_pending_point() {
-        // Worker 1 drains its own deque {1, 3}, then must steal from
-        // worker 0's {0, 2} — highest cost first.
-        let s = WorkStealScheduler::new(2, vec![40, 30, 20, 10], vec![None; 4]);
-        assert_eq!(s.claim(1), Some((1, 30)));
-        assert_eq!(s.claim(1), Some((3, 10)));
-        assert_eq!(s.claim(1), Some((0, 40)), "steals the most expensive");
-        assert_eq!(s.claim(1), Some((2, 20)));
-        assert_eq!(s.claim(1), None);
-        assert_eq!(s.steals(), 2);
-    }
-
-    #[test]
-    fn steals_come_from_the_most_loaded_victim() {
-        // Three workers: deques {0, 3}, {1, 4}, {2, 5}. Worker 2 drains its
-        // own deque, worker 0 claims once leaving loads (1, 2) — the steal
-        // must hit worker 1, the most-loaded victim.
-        let s = WorkStealScheduler::new(3, vec![60, 50, 40, 30, 20, 10], vec![None; 6]);
-        assert_eq!(s.claim(2), Some((2, 40)));
-        assert_eq!(s.claim(2), Some((5, 10)));
-        assert_eq!(s.claim(0), Some((0, 60)));
-        assert_eq!(s.claim(2), Some((1, 50)), "victim is worker 1 (load 2)");
-        assert_eq!(s.steals(), 1);
-    }
-
-    #[test]
-    fn the_zero_width_sentinel_never_feeds_the_median() {
-        // A max-cost sentinel point schedules first, and its completion is
-        // excluded from the ratio pool — its "heuristic units" are not a
-        // real count and would drag the median toward zero.
-        let s = WorkStealScheduler::new(1, vec![u64::MAX, 10], vec![None, None]);
-        assert_eq!(s.claim(0), Some((0, u64::MAX)));
-        s.complete(0, 5);
-        assert_eq!(s.claim(0), Some((1, 10)), "median stayed at 1.0 ns/unit");
-    }
-
-    fn temp_program_cache(tag: &str) -> DiskProgramCache {
-        let dir =
-            std::env::temp_dir().join(format!("ava-progcache-sweep-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        DiskProgramCache::open(dir).unwrap()
-    }
-
-    #[test]
-    fn a_warm_program_cache_serves_a_sweep_with_zero_compilations() {
-        let disk = temp_program_cache("warm");
-        let (w, s) = small_axes();
-        let sweep = Sweep::grid(w, s);
-
-        let cold = sweep.runner().threads(2).program_cache(&disk).run();
-        assert_eq!(cold.cache_hits + cold.cache_misses, 6);
-        assert_eq!(cold.cache_disk_hits, 0, "cold cache cannot hit");
-        assert_eq!(cold.cache_disk_misses, cold.cache_misses);
-        assert_eq!(cold.compiles, cold.cache_misses);
-        assert!(!disk.is_empty(), "cold run checkpoints its compilations");
-
-        let warm = sweep.runner().threads(2).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0, "warm rerun compiles nothing");
-        assert_eq!(warm.cache_disk_hits, warm.cache_misses);
-        assert_eq!(warm.cache_disk_misses, 0);
-        for (a, b) in cold.reports.iter().zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "cached = compiled");
-        }
-        let _ = std::fs::remove_dir_all(disk.dir());
-    }
-
-    #[test]
-    fn a_program_cache_attached_sweep_is_bit_identical_to_a_cacheless_one() {
-        let disk = temp_program_cache("bitident");
-        let (w, s) = small_axes();
-        let sweep = Sweep::grid(w, s);
-        let plain = sweep.runner().threads(1).run();
-        assert_eq!(plain.cache_disk_hits + plain.cache_disk_misses, 0);
-        assert_eq!(plain.compiles, plain.cache_misses, "no disk tier attached");
-        let cached = sweep.runner().threads(1).program_cache(&disk).run();
-        // Warm pass exercises the deserialization path end to end.
-        let warm = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0);
-        for ((a, b), c) in plain.reports.iter().zip(&cached.reports).zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            assert_eq!(format!("{a:?}"), format!("{c:?}"));
-        }
-        let _ = std::fs::remove_dir_all(disk.dir());
-    }
-
-    #[test]
-    fn corrupted_program_cache_entries_degrade_to_recompilation() {
-        let disk = temp_program_cache("corrupt");
-        let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(128))];
-        let sweep = Sweep::grid(workloads, vec![ScenarioConfig::native_x(1)]);
-        let cold = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(cold.compiles, 1);
-        // Truncate every entry: the warm run must recompile, not crash,
-        // and self-repair the entries for the run after it.
-        for entry in std::fs::read_dir(disk.dir()).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            std::fs::write(&path, &text[..text.len() / 3]).unwrap();
-        }
-        let repaired = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(repaired.compiles, 1, "corrupted entry recompiles");
-        assert_eq!(repaired.cache_disk_hits, 0);
-        let warm = sweep.runner().threads(1).program_cache(&disk).run();
-        assert_eq!(warm.compiles, 0, "self-repaired entry hits again");
-        for (a, b) in cold.reports.iter().zip(&warm.reports) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        let _ = std::fs::remove_dir_all(disk.dir());
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn full_sweep_report_round_trips_against_the_parser() {
 
     let parsed = parse(&report.to_json().to_string()).unwrap();
 
-    assert_eq!(parsed.at("schema").text(), "ava-sweep-report/v1");
+    assert_eq!(parsed.at("schema").text(), "ava-sweep-report/v2");
     assert_eq!(parsed.at("threads").uint(), 2);
     assert_eq!(parsed.at("wall_ns").uint(), report.wall_ns);
     assert_eq!(parsed.at("busy_ns").uint(), report.busy_ns());

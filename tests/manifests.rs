@@ -18,7 +18,7 @@ fn plain_args() -> BenchArgs {
 /// The deterministic per-point payloads of a driver document: the nested
 /// simulation reports, without the scheduling metadata (`wall_ns`,
 /// `worker`, `cost_estimate`) that naturally moves run to run. This is the
-/// same convention the CI store/shard gates compare under.
+/// same convention the CI store and reproducibility gates compare under.
 fn point_reports(doc: &Json) -> Vec<String> {
     doc.get("sweep")
         .and_then(|s| s.get("points"))
@@ -90,8 +90,8 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
             "sparkline",
         ),
         (
-            r#"{"artefact": "fig3", "execution": {"shards": "0/2"}}"#,
-            "shards",
+            r#"{"artefact": "fig3", "execution": {"workers": 2}}"#,
+            "workers",
         ),
     ] {
         let err = ExperimentSpec::parse("t", text).unwrap_err();
@@ -169,7 +169,7 @@ fn sensitivity_manifest_matches_the_legacy_flag_invocation() {
     );
     assert!(
         a.stdout
-            .contains("total energy (mJ) by MVL and L2 capacity"),
+            .contains("total energy (µJ) by MVL and L2 capacity"),
         "kind \"all\" renders the energy matrix"
     );
     assert_eq!(point_reports(&a.document), point_reports(&b.document));

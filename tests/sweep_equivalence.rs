@@ -3,7 +3,7 @@
 //! every report — cycles, instruction counts, memory traffic, validation —
 //! must match bit-for-bit, at any thread count, with the shared program
 //! cache enabled (its hits must not perturb results either) and with the
-//! cost-sorted scheduler reordering execution under the hood.
+//! cost-sorted cursor reordering execution under the hood.
 
 use std::sync::Arc;
 
@@ -176,6 +176,50 @@ fn skewed_grid_stays_in_grid_order_and_identical_to_serial() {
         assert!(report.points.iter().all(|p| p.worker < threads));
         assert_eq!(report.points[3].cost_estimate, costs[3]);
     }
+}
+
+/// The bit-identity guarantee at scale: a ~2k-point synthetic grid (256
+/// axpy instances at distinct working-set sizes × 8 configurations) run at
+/// 8 workers through the cost-sorted cursor must match the serial run on
+/// every point — the grid shape where many workers race on the cursor and
+/// on shared compile keys for the whole sweep, not just its first points.
+#[test]
+fn cost_sorted_cursor_is_bit_identical_to_serial_on_a_two_thousand_point_grid() {
+    let workloads: Vec<SharedWorkload> = (0..256)
+        .map(|i| Arc::new(Axpy::new(64 + i * 2)) as SharedWorkload)
+        .collect();
+    let systems = vec![
+        ScenarioConfig::native_x(1),
+        ScenarioConfig::native_x(4),
+        ScenarioConfig::ava_x(1),
+        ScenarioConfig::ava_x(2),
+        ScenarioConfig::ava_x(4),
+        ScenarioConfig::ava_x(8),
+        ScenarioConfig::rg_lmul(Lmul::M2),
+        ScenarioConfig::rg_lmul(Lmul::M8),
+    ];
+    let sweep = Sweep::grid(workloads, systems);
+    assert_eq!(sweep.len(), 2048);
+
+    let serial = sweep.runner().threads(1).run();
+    let parallel = sweep.runner().threads(8).run();
+    assert_eq!(serial.reports.len(), parallel.reports.len());
+    for (s, p) in serial.reports.iter().zip(&parallel.reports) {
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{p:?}"),
+            "{} on {}: 8-worker run must match serial",
+            s.workload,
+            s.config
+        );
+    }
+    // Results come back in grid order regardless of execution order.
+    for (i, r) in parallel.reports.iter().enumerate() {
+        assert_eq!(r.workload, sweep.workloads()[i / 8].name());
+    }
+    // Each compile key compiles once however the workers race.
+    assert_eq!(parallel.compiles, serial.compiles);
+    assert_eq!(parallel.cache_hits, serial.cache_hits);
 }
 
 /// The acceptance grid of the scenario-axis refactor: one `Sweep` built
