@@ -1,6 +1,7 @@
-//! The generic spec-driven experiment runner: executes any experiment
-//! manifest from `experiments/` (or anywhere else) through the same driver
-//! the figure binaries use.
+//! The one front door to the paper's experiments: executes any experiment
+//! manifest from `experiments/` (or anywhere else) through
+//! [`ava_bench::driver`]. Figure 3, Figure 4, the sensitivity studies and
+//! the microarchitectural ablation are all manifests.
 //!
 //! Usage:
 //!
@@ -17,10 +18,10 @@
 //! be run single-threaded or against a different store without editing it.
 //! `--json <path>` likewise overrides the manifest's `output.json`.
 //!
-//! `--scale-down` shrinks the experiment to smoke size (first workload,
-//! first value of every axis, reduced system lists) so CI can validate
-//! every committed manifest end to end in seconds. `--app <name>`
-//! overrides the manifest's `app` filter.
+//! `--app <name>` overrides the manifest's `app` filter. `--scale-down`
+//! shrinks the experiment to smoke size (the first workload the filter
+//! selects, the first value of every axis, reduced system lists) so CI can
+//! validate every committed manifest end to end in seconds.
 
 use std::process::ExitCode;
 

@@ -27,7 +27,7 @@
 use std::process::ExitCode;
 
 use ava_bench::cli::{usage_error, write_json, BenchArgs};
-use ava_bench::{paper_workloads, pipelined_mix, solver_mix};
+use ava_bench::spec::{paper_workload_specs, MixRegistry, WorkloadSpec};
 use ava_sim::json::{object, parse, Json};
 use ava_sim::ScenarioConfig;
 use ava_workloads::analysis::Severity;
@@ -68,10 +68,16 @@ fn run() -> Result<ExitCode, String> {
         Severity::Error
     };
 
-    let mut workloads: Vec<SharedWorkload> = paper_workloads();
+    // The paper pool, the standalone relaxation body, then the two
+    // composite mixes at their registry defaults (n = 4096, 4 iterations).
+    let mut workloads: Vec<SharedWorkload> = paper_workload_specs()
+        .iter()
+        .map(MixRegistry::build)
+        .collect::<Result<_, _>>()?;
     workloads.push(std::sync::Arc::new(Somier::relaxation(4096)));
-    workloads.push(pipelined_mix(4096));
-    workloads.push(solver_mix(4096, 4));
+    for mix in ["pipelined", "solver"] {
+        workloads.push(MixRegistry::build(&WorkloadSpec::named(mix))?);
+    }
 
     // The fourteen evaluated configurations plus the Table I MVL-512
     // extrapolation point, deduplicated by the MVL they resolve to — the

@@ -1,11 +1,11 @@
-//! Shared command-line plumbing for the figure/table binaries.
+//! Shared command-line plumbing for the harness binaries.
 //!
 //! Every binary parses its arguments through one [`BenchArgs`] pass: the
 //! shared flags — `--json <path>`, `--threads <n>`, `--store <dir>` and
-//! `--resume` — are recognised in one place, and each binary pulls its own extensions (`--app`, `--chart`, `--mode`,
-//! ...) out of the remainder with [`BenchArgs::take_value`] before calling
-//! [`BenchArgs::finish`] to reject anything left over. New shared flags
-//! therefore land once instead of nine times.
+//! `--resume` — are recognised in one place, and each binary pulls its own
+//! extensions (`--spec`, `--app`, `--mode`, ...) out of the remainder with
+//! [`BenchArgs::take_value`] before calling [`BenchArgs::finish`] to reject
+//! anything left over.
 //!
 //! The shared flags mean the same thing everywhere:
 //!

@@ -3,10 +3,8 @@
 //! [`execute`] turns one validated [`ExperimentSpec`] plus the shared
 //! execution options ([`BenchArgs`]) into the experiment's artefacts: the
 //! chart/table text that goes to stdout and the machine-readable JSON
-//! document. It is a port of the four figure binaries' bodies onto one code
-//! path — the binaries themselves are shims that translate flags into a
-//! spec and call [`run`] — so a manifest run and a legacy flag run of the
-//! same experiment produce byte-identical output.
+//! document. It is the one code path behind every figure and study: the
+//! `experiments` binary parses a manifest and calls [`run`].
 //!
 //! Progress lines (sweep size, sweep summary) still stream to
 //! stderr while the sweeps run; the stdout text is accumulated and printed
@@ -31,8 +29,7 @@ use crate::{
 
 /// The artefacts of one executed experiment.
 pub struct ExperimentRun {
-    /// The accumulated chart/table text (what the legacy binaries printed
-    /// to stdout, byte for byte).
+    /// The accumulated chart/table text (what [`run`] prints to stdout).
     pub stdout: String,
     /// The machine-readable document (what `--json` writes).
     pub document: Json,
@@ -71,26 +68,34 @@ pub fn execute(spec: &ExperimentSpec, args: &BenchArgs) -> Result<ExperimentRun,
     Ok(ExperimentRun { stdout, document })
 }
 
-/// Builds the spec's workload entries and applies the `app` filter.
-/// `no_match` is the artefact's legacy diagnostic for an empty result.
-fn build_workloads(spec: &ExperimentSpec, no_match: &str) -> Result<Vec<SharedWorkload>, String> {
-    let mut workloads = Vec::with_capacity(spec.workloads.len());
-    for w in &spec.workloads {
-        workloads.push(MixRegistry::build(w)?);
-    }
-    let workloads: Vec<SharedWorkload> = workloads
-        .into_iter()
+/// Builds the spec's workload entries and applies the `app` filter. A
+/// filter that matches nothing is a diagnostic naming the workloads the
+/// spec does build.
+fn build_workloads(spec: &ExperimentSpec) -> Result<Vec<SharedWorkload>, String> {
+    let built = spec
+        .workloads
+        .iter()
+        .map(MixRegistry::build)
+        .collect::<Result<Vec<_>, _>>()?;
+    let selected: Vec<SharedWorkload> = built
+        .iter()
         .filter(|w| spec.app.as_ref().is_none_or(|f| w.name() == f))
+        .cloned()
         .collect();
-    if workloads.is_empty() {
-        return Err(no_match.to_string());
+    if selected.is_empty() {
+        let names: Vec<&str> = built.iter().map(|w| w.name()).collect();
+        return Err(format!(
+            "no workload matches app filter {:?} (this experiment's workloads are {})",
+            spec.app.as_deref().unwrap_or_default(),
+            names.join(", ")
+        ));
     }
-    Ok(workloads)
+    Ok(selected)
 }
 
-/// The unroll depth of the spec's solver entry, if it has one. Like the
-/// legacy `--mix solver` flow, the depth becomes a grid-wide scenario axis
-/// even when the `app` filter later drops the solver itself.
+/// The unroll depth of the spec's solver entry, if it has one. The depth
+/// is a grid-wide scenario axis, so it labels every report even when the
+/// `app` filter drops the solver itself.
 fn solver_iters(spec: &ExperimentSpec) -> Option<usize> {
     spec.workloads
         .iter()
@@ -100,7 +105,7 @@ fn solver_iters(spec: &ExperimentSpec) -> Option<usize> {
 
 fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
     let chart = spec.chart();
-    let workloads = build_workloads(spec, "no workload matches --app filter")?;
+    let workloads = build_workloads(spec)?;
     let mut systems = evaluated_systems();
     if spec.reduced {
         // Scale-down: the first two evaluated systems (NATIVE X1 plus one
@@ -153,8 +158,8 @@ fn fig3(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Jso
 }
 
 fn fig4(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Result<Json, String> {
-    let workloads = build_workloads(spec, "no workload matches the manifest's workload list")?;
-    let data = figure4_data_with(&workloads, args.threads, args.store.as_ref());
+    let workloads = build_workloads(spec)?;
+    let data = figure4_data_with(&workloads, args);
     out.push_str(&format_figure4_from(&data));
 
     Ok(object()
@@ -187,11 +192,7 @@ fn sensitivity(spec: &ExperimentSpec, args: &BenchArgs, out: &mut String) -> Res
     let mvls = &spec.axes.mvl;
     let l2_kib = &spec.axes.l2_kib;
     let extra = &spec.axes.extra;
-    let workloads = build_workloads(
-        spec,
-        "no workload matches --app filter (axpy, blackscholes, somier, composite, \
-         pipelined with --mix pipelined, and iterated with --mix solver)",
-    )?;
+    let workloads = build_workloads(spec)?;
 
     let mut scenarios = sensitivity_grid_with(mvls, l2_kib, extra);
     if let Some(iters) = solver_iters(spec) {

@@ -1,17 +1,19 @@
 //! # ava-bench — experiment harness regenerating every table and figure
 //!
-//! Each binary in `src/bin/` regenerates one artefact of the paper's
-//! evaluation from the simulator, the compiler and the physical models:
+//! The binaries in `src/bin/` regenerate the paper's evaluation from the
+//! simulator, the compiler and the physical models:
 //!
 //! | Binary          | Paper artefact                                              |
 //! |-----------------|-------------------------------------------------------------|
+//! | `experiments`   | Every sweep-backed artefact, from a manifest in             |
+//! |                 | `experiments/`: Figure 3 (`fig3_extrapolation.json`),       |
+//! |                 | Figure 4 (`fig4_area.json`), the sensitivity studies        |
+//! |                 | (`sensitivity_*.json`, `solver_mix.json`,                   |
+//! |                 | `pipelined_mix.json`) and the microarchitectural ablation   |
+//! |                 | (`ablation_microarch.json`)                                 |
 //! | `table1`        | Table I — P-VRF configurations (physical registers vs MVL)   |
 //! | `table_configs` | Tables II & III — evaluated system configurations             |
-//! | `fig3`          | Figure 3 — per-application memory-instruction breakdown,      |
-//! |                 | instruction mix, execution time/speedup and energy            |
-//! | `fig4`          | Figure 4 — area breakdown and performance/mm²                 |
 //! | `table5`        | Table V — post-place-and-route estimates                      |
-//! | `ablation`      | Sensitivity to queue/ROB sizes and VMU overhead (DESIGN.md)    |
 //! | `bench_baseline`| Wall-clock baselines — `BENCH_<suite>.json` for CI            |
 //! | `lint`          | Static-analysis sweep — every workload/mix linted at every    |
 //! |                 | evaluated MVL (plus the 512 extrapolation), deny mode in CI   |
@@ -26,10 +28,10 @@
 //! their bodies live in [`suites`] so `bench_baseline` can persist the same
 //! numbers for the CI `bench-regression` gate.
 //!
-//! The library part of the crate holds the shared harness: the workload
-//! instances sized for the evaluation, the configuration lists, and the
-//! text formatting of every chart, so binaries stay thin and the harness is
-//! unit-testable.
+//! The library part of the crate holds the shared harness: the manifest
+//! schema ([`spec`]) and the driver that executes it ([`driver`]), the
+//! configuration lists, and the text formatting of every chart, so binaries
+//! stay thin and the harness is unit-testable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,30 +52,16 @@ use ava_energy::{
 };
 use ava_sim::json::object;
 use ava_sim::{
-    geometric_mean, speedup_vs, Json, ResultStore, RunReport, ScenarioConfig, Sweep, SweepReport,
-    SystemConfig,
+    geometric_mean, speedup_vs, Json, RunReport, ScenarioConfig, Sweep, SweepReport, SystemConfig,
 };
 use ava_vpu::{preg_count_for_mvl, VpuConfig};
 use ava_workloads::{
     Axpy, Blackscholes, Composite, LavaMd2, ParticleFilter, SharedWorkload, Somier, Swaptions,
 };
 
-/// The six applications of Table IV at the problem sizes used for the
-/// reproduction (scaled to keep a full Figure 3 sweep fast; see
-/// EXPERIMENTS.md for the sizes and the reasoning).
-#[must_use]
-pub fn paper_workloads() -> Vec<SharedWorkload> {
-    vec![
-        Arc::new(Axpy::new(4096)),
-        Arc::new(Blackscholes::new(1024)),
-        Arc::new(LavaMd2::new(48, 2)),
-        Arc::new(ParticleFilter::new(2048, 64)),
-        Arc::new(Somier::new(4096)),
-        Arc::new(Swaptions::new(1024)),
-    ]
-}
+use crate::cli::BenchArgs;
 
-/// Smaller versions of the same workloads, used by the wall-clock benches so
+/// Smaller versions of the paper workloads, used by the wall-clock benches so
 /// one benchmark iteration stays in the millisecond range.
 #[must_use]
 pub fn bench_workloads() -> Vec<SharedWorkload> {
@@ -91,19 +79,6 @@ pub fn bench_workloads() -> Vec<SharedWorkload> {
 #[must_use]
 pub fn evaluated_systems() -> Vec<ScenarioConfig> {
     ScenarioConfig::all_evaluated()
-}
-
-/// The Figure 3 grid: every given workload on every evaluated configuration.
-/// Reports come back workload-major (chunk by [`evaluated_systems`] length).
-#[must_use]
-pub fn figure3_sweep(workloads: Vec<SharedWorkload>) -> Sweep {
-    Sweep::grid(workloads, evaluated_systems())
-}
-
-/// Runs one workload across every evaluated configuration, in parallel.
-#[must_use]
-pub fn run_figure3_for(workload: SharedWorkload) -> Vec<RunReport> {
-    figure3_sweep(vec![workload]).runner().run().into_reports()
 }
 
 /// Formats the Figure 3 column-1 chart: vector memory instruction counts
@@ -209,7 +184,7 @@ pub fn format_energy(workload: &str, reports: &[RunReport]) -> String {
     out
 }
 
-/// The standard dataflow pipeline of the `--mix pipelined` scenarios: a
+/// The standard dataflow pipeline (the `pipelined` manifest entry): a
 /// stencil-style three-stage chain over `n`-element arrays. Axpy's in-place
 /// output feeds Somier's velocity array; Somier's position and velocity
 /// results feed a second Axpy (`y[i] = a * xout[i] + vout[i]`). Golden
@@ -230,7 +205,7 @@ pub fn pipelined_mix(n: usize) -> SharedWorkload {
     ))
 }
 
-/// The iterative-solver mix of the `--mix solver` scenarios: a somier
+/// The iterative-solver mix (the `solver` manifest entry): a somier
 /// spring relaxation ([`ava_workloads::Somier::relaxation`]) unrolled
 /// `iters` times, each iteration's position/velocity outputs carrying into
 /// the next iteration's inputs. Carried arrays ping-pong between two
@@ -347,23 +322,12 @@ pub struct Figure4Data {
 }
 
 /// Runs the Figure 4 evaluation: the area breakdown of every configuration
-/// and the average performance/mm² over the six applications. The whole
-/// evaluation is a single declarative sweep: `workloads` × (the six area
-/// columns plus the remaining AVA configurations), run across all cores.
+/// and the average performance/mm² over `workloads`. The whole evaluation
+/// is a single declarative sweep: `workloads` × (the six area columns plus
+/// the remaining AVA configurations), run under the execution options of
+/// `args` (worker-thread cap, result store).
 #[must_use]
-pub fn figure4_data(workloads: &[SharedWorkload]) -> Figure4Data {
-    figure4_data_with(workloads, None, None)
-}
-
-/// [`figure4_data`] with the execution knobs of the `fig4` binary: an
-/// optional worker-thread cap and an optional result store serving
-/// already-computed points.
-#[must_use]
-pub fn figure4_data_with(
-    workloads: &[SharedWorkload],
-    threads: Option<usize>,
-    store: Option<&ResultStore>,
-) -> Figure4Data {
+pub fn figure4_data_with(workloads: &[SharedWorkload], args: &BenchArgs) -> Figure4Data {
     // Area side: one column per configuration of Figure 4. NATIVE X1 first
     // (it doubles as the speedup baseline) and AVA X1 second (its area row
     // represents every AVA configuration).
@@ -381,14 +345,7 @@ pub fn figure4_data_with(
     systems.extend([2, 3, 4, 8].iter().map(|&n| ScenarioConfig::ava_x(n)));
     let n_systems = systems.len();
     let grid = Sweep::grid(workloads.to_vec(), systems);
-    let mut runner = grid.runner();
-    if let Some(n) = threads {
-        runner = runner.threads(n);
-    }
-    if let Some(store) = store {
-        runner = runner.store(store);
-    }
-    let sweep = runner.run();
+    let sweep = args.configure(grid.runner()).run();
     let by_workload: Vec<&[RunReport]> = sweep.reports.chunks(n_systems).collect();
 
     let mut rows = Vec::with_capacity(columns.len() + 1);
@@ -468,12 +425,6 @@ pub fn format_figure4_from(data: &Figure4Data) -> String {
     out
 }
 
-/// Regenerates Figure 4 end to end (run the sweep, format the chart).
-#[must_use]
-pub fn format_figure4(workloads: &[SharedWorkload]) -> String {
-    format_figure4_from(&figure4_data(workloads))
-}
-
 /// The Table V rows: `(label, VPU configuration)` for the two designs the
 /// paper takes through the place-and-route flow. Single source for both
 /// the text table and the `--json` artefact.
@@ -515,18 +466,18 @@ pub fn format_table5() -> String {
 // Sensitivity study: MVL extrapolation and cache-size grids
 // ----------------------------------------------------------------------
 
-/// The default MVL axis of the `sensitivity` binary: the paper's longest
+/// The default MVL axis of a sensitivity manifest: the paper's longest
 /// configuration plus the Table I extrapolation points.
 pub const SENSITIVITY_MVLS: [usize; 3] = [128, 256, 512];
 
-/// The default L2-capacity axis of the `sensitivity` binary, in KiB (the
+/// The default L2-capacity axis of a sensitivity manifest, in KiB (the
 /// paper's 1 MiB flanked by a quarter-size and a quadruple-size L2).
 pub const SENSITIVITY_L2_KIB: [usize; 3] = [256, 1024, 4096];
 
-/// The optional extra axes of the sensitivity study, driven by the
-/// `sensitivity` binary's `--l1-kib`, `--dram-bw`, `--vmu-bus` and `--vvr`
-/// flags (or a manifest's `axes` block). An empty vector leaves the
-/// corresponding dimension at its Table II default (and out of the grid).
+/// The optional extra axes of the sensitivity study, driven by a
+/// manifest's `axes` block (`l1_kib`, `dram_bw`, `vmu_bus`, `vvrs`). An
+/// empty vector leaves the corresponding dimension at its Table II default
+/// (and out of the grid).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyAxes {
     /// L1 data-cache capacities in KiB (`axis_l1_kib`).
@@ -553,16 +504,10 @@ impl HierarchyAxes {
 }
 
 /// The scenario grid of the sensitivity study: the AVA MVL-extrapolation
-/// axis crossed with the L2-capacity axis, L2-minor (matching the loops of
-/// [`format_cache_sensitivity`]).
-#[must_use]
-pub fn sensitivity_grid(mvls: &[usize], l2_kib: &[usize]) -> Vec<ScenarioConfig> {
-    sensitivity_grid_with(mvls, l2_kib, &HierarchyAxes::default())
-}
-
-/// [`sensitivity_grid`] cross-expanded along the optional extra axes:
-/// MVL × L2 × L1 × DRAM-bandwidth × VMU-bus-width × VVR-pool, innermost
-/// last. Empty axes do not expand the grid.
+/// axis crossed with the L2-capacity axis (L2-minor, matching the loops of
+/// [`format_cache_sensitivity`]), cross-expanded along the optional extra
+/// axes: MVL × L2 × L1 × DRAM-bandwidth × VMU-bus-width × VVR-pool,
+/// innermost last. Empty axes do not expand the grid.
 #[must_use]
 pub fn sensitivity_grid_with(
     mvls: &[usize],
@@ -583,25 +528,6 @@ pub fn sensitivity_grid_with(
         grid = ScenarioConfig::axis_vvr(&grid, &extra.vvrs);
     }
     grid
-}
-
-/// The workloads of the sensitivity study: the two DLP extremes (Axpy
-/// streams, Blackscholes is register-hungry), the memory-bound Somier, and
-/// a multi-kernel [`Composite`] mix of all three sharing one cache-warm
-/// hierarchy. Problem sizes are chosen so the working sets (0.4–1 MiB)
-/// straddle the L2-capacity axis — small L2 configurations actually miss.
-#[must_use]
-pub fn sensitivity_workloads() -> Vec<SharedWorkload> {
-    vec![
-        Arc::new(Axpy::new(32768)),
-        Arc::new(Blackscholes::new(8192)),
-        Arc::new(Somier::new(16384)),
-        Arc::new(Composite::new(vec![
-            Arc::new(Axpy::new(16384)),
-            Arc::new(Blackscholes::new(4096)),
-            Arc::new(Somier::new(8192)),
-        ])),
-    ]
 }
 
 fn axis_value(r: &RunReport, name: &str) -> Option<u64> {
@@ -626,7 +552,7 @@ pub fn format_mvl_extrapolation(
         .zip(reports)
         .filter(|(_, r)| axis_value(r, "l2_kib") == ref_l2)
         .collect();
-    // Rows ascend along the MVL axis regardless of `--mvl` input order, so
+    // Rows ascend along the MVL axis regardless of the axis input order, so
     // the speedup baseline is always the shortest vector length (matching
     // the cache-sensitivity matrix, which sorts its axes the same way).
     rows.sort_by_key(|(sys, _)| sys.mvl());
@@ -695,7 +621,7 @@ pub fn format_cache_sensitivity(workload: &str, reports: &[RunReport]) -> String
     out
 }
 
-/// The `sensitivity --json` document: the axis vectors (the optional
+/// The sensitivity artefact's JSON document: the axis vectors (the optional
 /// hierarchy axes appear only when driven), the per-point energy breakdowns
 /// and the full instrumented sweep. `systems` is the sweep's resolved axis
 /// ([`Sweep::resolved_systems`]).
@@ -856,8 +782,7 @@ pub fn sweep_energy_json(report: &SweepReport, systems: &[SystemConfig]) -> Json
 }
 
 /// Formats the energy matrix of the sensitivity study for one workload
-/// (`sensitivity --chart energy`, or a manifest artefact of kind
-/// `"energy"`): one row per MVL, one total-energy column (microjoules) per
+/// (a sensitivity manifest with output kind `"energy"` or `"all"`): one row per MVL, one total-energy column (microjoules) per
 /// L2 capacity on the grid — the text rendering of what
 /// [`sweep_energy_json`] emits per point. Points beyond the MVL × L2 plane
 /// (extra hierarchy axes) fold into the cell of their (MVL, L2) pair by
@@ -973,7 +898,7 @@ mod tests {
     fn sensitivity_grid_crosses_both_axes_and_formats_every_cell() {
         let mvls = [128usize, 256];
         let l2s = [512usize, 1024];
-        let scenarios = sensitivity_grid(&mvls, &l2s);
+        let scenarios = sensitivity_grid_with(&mvls, &l2s, &HierarchyAxes::default());
         assert_eq!(scenarios.len(), 4);
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
@@ -1059,7 +984,7 @@ mod tests {
 
     #[test]
     fn energy_matrix_has_one_priced_cell_per_mvl_l2_pair() {
-        let scenarios = sensitivity_grid(&[128, 256], &[512, 1024]);
+        let scenarios = sensitivity_grid_with(&[128, 256], &[512, 1024], &HierarchyAxes::default());
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
         let report = sweep.runner().threads(1).run();
@@ -1165,7 +1090,7 @@ mod tests {
 
     #[test]
     fn mvl_extrapolation_rows_sort_by_mvl_regardless_of_input_order() {
-        let scenarios = sensitivity_grid(&[512, 128], &[512]);
+        let scenarios = sensitivity_grid_with(&[512, 128], &[512], &HierarchyAxes::default());
         let workloads: Vec<SharedWorkload> = vec![Arc::new(Axpy::new(512))];
         let sweep = Sweep::grid(workloads, scenarios);
         let report = sweep.runner().threads(1).run();
@@ -1179,7 +1104,11 @@ mod tests {
 
     #[test]
     fn sensitivity_workloads_include_the_composite_mix() {
-        let names: Vec<&str> = sensitivity_workloads().iter().map(|w| w.name()).collect();
+        let workloads: Vec<SharedWorkload> = spec::sensitivity_workload_specs()
+            .iter()
+            .map(|w| spec::MixRegistry::build(w).unwrap())
+            .collect();
+        let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
         assert_eq!(names, vec!["axpy", "blackscholes", "somier", "composite"]);
     }
 

@@ -4,12 +4,10 @@
 //! which artefact to regenerate (`fig3`, `fig4`, `sensitivity`,
 //! `ablation`), which workloads and mixes to sweep, which scenario axes to
 //! cross, how to execute (threads, result store)
-//! and what to emit (JSON path, chart kind). The generic `experiments`
-//! binary drives the whole bench stack from such a file, and the legacy
-//! `fig3`/`fig4`/`sensitivity`/`ablation` binaries are thin shims that
-//! translate their flags into an in-memory [`ExperimentSpec`] and call the
-//! same driver — one code path, so a manifest run and a flag run of the
-//! same experiment are byte-identical.
+//! and what to emit (JSON path, chart kind). The `experiments` binary is the
+//! one front door: it parses a manifest into an [`ExperimentSpec`] and hands
+//! it to [`crate::driver`]. The committed manifests in `experiments/` are
+//! the paper's evaluation as data files.
 //!
 //! The schema is parsed with the dependency-free [`ava_sim::json`] parser;
 //! every schema error is a diagnostic naming the offending token and its
@@ -78,7 +76,7 @@ impl ArtefactKind {
     }
 
     /// The chart kinds this artefact's text output can be restricted to
-    /// (the manifest `output.kind` field / the binaries' `--chart` flag).
+    /// (the manifest `output.kind` field).
     /// Empty for artefacts with exactly one rendering.
     #[must_use]
     pub fn chart_kinds(self) -> &'static [&'static str] {
@@ -288,8 +286,9 @@ pub struct ExperimentSpec {
     pub reduced: bool,
 }
 
-/// The paper pool of Figure 3 / Figure 4 as explicit manifest entries (the
-/// sizes of [`crate::paper_workloads`]).
+/// The paper pool of Figure 3 / Figure 4: the six applications of Table IV
+/// at the problem sizes used for the reproduction (scaled to keep a full
+/// Figure 3 sweep fast).
 #[must_use]
 pub fn paper_workload_specs() -> Vec<WorkloadSpec> {
     vec![
@@ -308,8 +307,11 @@ pub fn paper_workload_specs() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// The sensitivity-study pool as explicit manifest entries (the sizes of
-/// [`crate::sensitivity_workloads`]).
+/// The sensitivity-study pool: the two DLP extremes (Axpy streams,
+/// Blackscholes is register-hungry), the memory-bound Somier, and the
+/// multi-kernel `composite` mix of all three sharing one cache-warm
+/// hierarchy. Problem sizes are chosen so the working sets (0.4–1 MiB)
+/// straddle the L2-capacity axis — small L2 configurations actually miss.
 #[must_use]
 pub fn sensitivity_workload_specs() -> Vec<WorkloadSpec> {
     vec![
@@ -443,8 +445,8 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// Cross-field validation shared by [`ExperimentSpec::parse`] and the
-    /// flag-translation constructors.
+    /// Cross-field validation run by [`ExperimentSpec::parse`] once every
+    /// field is read.
     fn validate(&self, ctx: &Ctx<'_>) -> Result<(), String> {
         if self.artefact != ArtefactKind::Ablation && self.workloads.is_empty() {
             return Err(format!(
@@ -579,11 +581,21 @@ impl ExperimentSpec {
     }
 
     /// Shrinks the experiment to CI-smoke size: the workload list drops to
-    /// its first entry and every driven axis to its first value. The driver additionally truncates the
-    /// dimensions a manifest cannot express (the fig3 evaluated-system
-    /// list, the ablation study problem sizes) when this flag is set.
+    /// its first entry the `app` filter selects (the first entry when there
+    /// is no filter) and every driven axis to its first value. The driver
+    /// additionally truncates the dimensions a manifest cannot express (the
+    /// fig3 evaluated-system list, the ablation study problem sizes) when
+    /// this flag is set. A filter no entry matches leaves the list whole, so
+    /// the driver's diagnostic still names every workload.
     pub fn scale_down(&mut self) {
-        self.workloads.truncate(1);
+        let app = self.app.as_deref();
+        let first = self.workloads.iter().position(|w| {
+            app.is_none_or(|app| MixRegistry::build(w).is_ok_and(|built| built.name() == app))
+        });
+        if let Some(first) = first {
+            self.workloads.drain(..first);
+            self.workloads.truncate(1);
+        }
         self.axes.mvl.truncate(1);
         self.axes.l2_kib.truncate(1);
         self.axes.extra.l1_kib.truncate(1);
@@ -601,114 +613,6 @@ impl ExperimentSpec {
             .kind
             .as_deref()
             .unwrap_or_else(|| self.artefact.default_chart())
-    }
-
-    // ------------------------------------------------------------------
-    // Flag translation: the legacy binaries build their spec here
-    // ------------------------------------------------------------------
-
-    /// The spec a `fig3 [--app] [--chart] [--mix] [--iters]` invocation
-    /// translates to.
-    ///
-    /// # Errors
-    ///
-    /// Returns the legacy diagnostics for an unknown chart or mix name, or
-    /// an `--iters` without `--mix solver`.
-    pub fn fig3(
-        app: Option<String>,
-        chart: &str,
-        mix: &str,
-        iters: Option<usize>,
-    ) -> Result<Self, String> {
-        let mut spec = Self::new(ArtefactKind::Fig3);
-        if !ArtefactKind::Fig3.chart_kinds().contains(&chart) {
-            return Err(format!(
-                "--chart must be mem, mix, perf, energy or all, got {chart}"
-            ));
-        }
-        spec.output.kind = Some(chart.to_string());
-        spec.append_mix(mix, iters, 4096)?;
-        spec.app = app;
-        Ok(spec)
-    }
-
-    /// The spec a flag-less `fig4` invocation translates to.
-    #[must_use]
-    pub fn fig4() -> Self {
-        Self::new(ArtefactKind::Fig4)
-    }
-
-    /// The spec a `sensitivity` invocation translates to: the axis lists
-    /// (defaults already applied by the caller), the mix selection and the
-    /// chart kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns the legacy diagnostics for axis values out of range, an
-    /// unknown mix/chart name, or an `--iters` without `--mix solver`.
-    pub fn sensitivity(
-        axes: AxesSpec,
-        mix: &str,
-        iters: Option<usize>,
-        app: Option<String>,
-        chart: &str,
-    ) -> Result<Self, String> {
-        let mut spec = Self::new(ArtefactKind::Sensitivity);
-        if !ArtefactKind::Sensitivity.chart_kinds().contains(&chart) {
-            return Err(format!(
-                "--chart must be tables, energy or all, got {chart}"
-            ));
-        }
-        spec.output.kind = Some(chart.to_string());
-        spec.axes = axes;
-        spec.append_mix(mix, iters, 8192)?;
-        spec.app = app;
-        spec.validate_flags()?;
-        Ok(spec)
-    }
-
-    /// The spec an `ablation` invocation translates to.
-    #[must_use]
-    pub fn ablation() -> Self {
-        Self::new(ArtefactKind::Ablation)
-    }
-
-    /// Appends the legacy `--mix` selection to the default pool.
-    fn append_mix(&mut self, mix: &str, iters: Option<usize>, size: usize) -> Result<(), String> {
-        if !["independent", "pipelined", "solver"].contains(&mix) {
-            return Err(format!(
-                "--mix must be independent, pipelined or solver, got {mix}"
-            ));
-        }
-        if iters.is_some() && mix != "solver" {
-            // Silently ignoring the flag would let a sweep the user
-            // believes covers n iterations run with no iteration axis at
-            // all.
-            return Err("--iters only applies to --mix solver".to_string());
-        }
-        match mix {
-            "pipelined" => self.workloads.push(WorkloadSpec::sized("pipelined", size)),
-            "solver" => self.workloads.push(WorkloadSpec {
-                iters: Some(iters.unwrap_or(4)),
-                ..WorkloadSpec::sized("solver", size)
-            }),
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Runs the shared validation against a flag-built spec (no source
-    /// text, so diagnostics carry no byte offsets).
-    fn validate_flags(&self) -> Result<(), String> {
-        self.validate(&Ctx {
-            label: "<flags>",
-            text: "",
-        })
-        .map_err(|e| {
-            e.strip_prefix("manifest <flags>: ")
-                .unwrap_or(&e)
-                .to_string()
-        })
     }
 }
 
@@ -1113,6 +1017,22 @@ mod tests {
         assert_eq!(spec.axes.mvl, vec![128]);
         assert_eq!(spec.axes.l2_kib, vec![256]);
         assert_eq!(spec.axes.extra.l1_kib, vec![16]);
+
+        // With an app filter the kept entry is the first one it selects,
+        // matched by built name (the solver entry builds "iterated"); a
+        // filter nothing matches leaves the list whole for the driver's
+        // diagnostic.
+        let text = r#"{"artefact": "sensitivity",
+            "workloads": ["axpy", {"name": "solver", "n": 512}, "somier"]}"#;
+        for (app, kept) in [
+            ("iterated", vec![WorkloadSpec::sized("solver", 512)]),
+            ("nope", ExperimentSpec::parse("t", text).unwrap().workloads),
+        ] {
+            let mut spec = ExperimentSpec::parse("t", text).unwrap();
+            spec.app = Some(app.to_string());
+            spec.scale_down();
+            assert_eq!(spec.workloads, kept, "--app {app}");
+        }
     }
 
     #[test]
@@ -1137,30 +1057,5 @@ mod tests {
         assert_eq!(solver.name(), "iterated");
         assert!(MixRegistry::build(&WorkloadSpec::named("nope")).is_err());
         assert!(MixRegistry::names().contains(&"solver"));
-    }
-
-    #[test]
-    fn flag_translation_matches_hand_written_manifests() {
-        let from_flags =
-            ExperimentSpec::fig3(Some("axpy".into()), "perf", "independent", None).unwrap();
-        let from_text = ExperimentSpec::parse(
-            "t",
-            &format!(
-                r#"{{"artefact": "fig3", "workloads": {},
-                     "app": "axpy", "output": {{"kind": "perf"}}}}"#,
-                Json::Arr(
-                    paper_workload_specs()
-                        .iter()
-                        .map(WorkloadSpec::to_json)
-                        .collect()
-                )
-            ),
-        )
-        .unwrap();
-        assert_eq!(from_flags, from_text);
-
-        assert!(ExperimentSpec::fig3(None, "all", "solver", None).is_ok());
-        assert!(ExperimentSpec::fig3(None, "all", "independent", Some(3)).is_err());
-        assert!(ExperimentSpec::fig3(None, "bogus", "independent", None).is_err());
     }
 }

@@ -58,7 +58,7 @@ type Runner<'a> = dyn FnMut(&str, &mut dyn FnMut() -> u64) + 'a;
 /// (NATIVE X1, NATIVE X8, AVA X8, RG-LMUL8). Each benchmark measures the
 /// wall-clock cost of one full compile + simulate + validate pass of the
 /// reproduction pipeline; the *simulated* cycle numbers behind Figure 3 are
-/// printed by the `fig3` binary.
+/// printed by `experiments --spec experiments/fig3_extrapolation.json`.
 fn fig3_kernels(run: &mut Runner<'_>) {
     let systems = [
         ScenarioConfig::native_x(1),

@@ -39,46 +39,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Formats a set of runs as an aligned text table (one row per run) listing
-/// cycles, speedup vs the given baseline, instruction breakdown and
-/// validation status. Used by the figure-regeneration binaries.
-#[must_use]
-pub fn format_runs_table(reports: &[RunReport], baseline: &str) -> String {
-    let speedups = speedup_vs(reports, baseline);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} {:>12} {:>8} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}\n",
-        "config",
-        "cycles",
-        "speedup",
-        "vload",
-        "vstore",
-        "spill-ld",
-        "spill-st",
-        "swap-ld",
-        "swap-st",
-        "%mem",
-        "ok"
-    ));
-    for (r, (_, s)) in reports.iter().zip(speedups.iter()) {
-        out.push_str(&format!(
-            "{:<12} {:>12} {:>8.2} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>5.1}% {:>6}\n",
-            r.config,
-            r.cycles,
-            s,
-            r.vpu.vloads,
-            r.vpu.vstores,
-            r.vpu.spill_loads,
-            r.vpu.spill_stores,
-            r.vpu.swap_loads,
-            r.vpu.swap_stores,
-            100.0 * r.vpu.memory_fraction(),
-            if r.validated { "yes" } else { "NO" },
-        ));
-    }
-    out
-}
-
 /// One-line execution summary of a sweep: points, threads, wall/busy time,
 /// compile-cache traffic and (when a store was attached) how many points
 /// the result store served. Printed by the benchmark binaries under
@@ -161,15 +121,5 @@ mod tests {
         let mut with_store = sweep.runner().threads(1).run();
         with_store.store_hits = 1;
         assert!(format_sweep_summary(&with_store).contains("store served 1 of 1"));
-    }
-
-    #[test]
-    fn table_lists_every_configuration_and_flags_validation() {
-        let reports = two_reports();
-        let table = format_runs_table(&reports, "NATIVE X1");
-        assert!(table.contains("NATIVE X1"));
-        assert!(table.contains("NATIVE X4"));
-        assert!(table.contains("yes"));
-        assert!(!table.contains(" NO"));
     }
 }

@@ -531,16 +531,6 @@ pub(crate) fn run_workload_stored(
     (report, false)
 }
 
-/// Convenience wrapper: runs every provided scenario on the same workload
-/// and returns the reports in the same order.
-#[must_use]
-pub fn run_workload_sized(workload: &dyn Workload, scenarios: &[ScenarioConfig]) -> Vec<RunReport> {
-    scenarios
-        .iter()
-        .map(|s| run_workload(workload, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,7 +35,7 @@ pub const KERNEL_NAMES: [&str; 7] = [
 /// primary problem size (elements, options, particles, ...), `m` the
 /// secondary one where the constructor takes two (LavaMD's neighbour count,
 /// Particle Filter's grid size; `None` elsewhere). The defaults are the
-/// paper-evaluation sizes of `ava_bench::paper_workloads`, except
+/// paper-evaluation sizes of `ava_bench::spec::paper_workload_specs`, except
 /// `composite`, which defaults to the sensitivity-study mix size.
 ///
 /// Returns `None` for names not in [`KERNEL_NAMES`].

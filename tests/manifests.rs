@@ -1,8 +1,8 @@
 //! The declarative experiment manifests, exercised end to end: the
 //! committed `experiments/` files parse and round-trip, schema errors are
-//! byte-offset diagnostics (never panics), a spec-driven run is
-//! byte-identical to the legacy flag invocation of the same experiment,
-//! and a store-attached manifest run resumes from its checkpoints.
+//! byte-offset diagnostics (never panics), the committed figure manifests
+//! render every chart their output kind selects, `--scale-down` and `--app`
+//! compose, and a store-attached manifest run resumes from its checkpoints.
 
 use std::path::PathBuf;
 
@@ -106,77 +106,116 @@ fn schema_errors_name_the_token_and_its_byte_offset() {
     assert!(err.contains("byte"), "{err}");
 }
 
-/// The committed fig3 manifest reproduces the fig3 binary's output byte
-/// for byte: same chart text, same energy JSON, same per-point reports.
-/// (Both the binary and the manifest path run through the same driver, so
-/// this pins the flag translation — and the committed file — against it.)
-#[test]
-fn fig3_manifest_matches_the_legacy_flag_invocation() {
-    let text = std::fs::read_to_string("experiments/fig3_extrapolation.json").unwrap();
-    let mut from_manifest =
-        ExperimentSpec::parse("experiments/fig3_extrapolation.json", &text).unwrap();
-    // The full six-workload figure is CI territory; the axpy column pins
-    // the whole path at test speed.
-    from_manifest.app = Some("axpy".to_string());
-    let from_flags =
-        ExperimentSpec::fig3(Some("axpy".to_string()), "all", "independent", None).unwrap();
-
-    let a = driver::execute(&from_manifest, &plain_args()).unwrap();
-    let b = driver::execute(&from_flags, &plain_args()).unwrap();
-    assert!(!a.stdout.is_empty());
-    assert_eq!(a.stdout, b.stdout, "chart text must be byte-identical");
-    assert_eq!(
-        a.document.get("energy").unwrap().to_string(),
-        b.document.get("energy").unwrap().to_string(),
-        "energy JSON must be byte-identical"
-    );
-    assert_eq!(point_reports(&a.document), point_reports(&b.document));
+fn execute_committed(manifest: &str, app: &str, scale_down: bool) -> driver::ExperimentRun {
+    let text = std::fs::read_to_string(manifest).unwrap();
+    let mut spec = ExperimentSpec::parse(manifest, &text).unwrap();
+    // The order the `experiments` binary applies its flags in.
+    spec.app = Some(app.to_string());
+    if scale_down {
+        spec.scale_down();
+    }
+    driver::execute(&spec, &plain_args()).unwrap_or_else(|e| panic!("{manifest} --app {app}: {e}"))
 }
 
-/// A hand-written sensitivity manifest (axes, chart kind, app filter)
-/// matches the equivalent legacy flag invocation byte for byte — including
-/// the energy matrix, which both paths render through the same formatter.
+/// The committed fig3 manifest renders all four Figure 3 charts (its
+/// output kind is "all") and prices every point in the energy block.
 #[test]
-fn sensitivity_manifest_matches_the_legacy_flag_invocation() {
+fn fig3_manifest_renders_all_four_charts_for_axpy() {
+    // The full six-workload figure is CI territory; the axpy column pins
+    // the whole path at test speed.
+    let run = execute_committed("experiments/fig3_extrapolation.json", "axpy", false);
+    for chart in [
+        "Figure 3 (axpy) — vector memory instructions",
+        "Figure 3 (axpy) — % of vector instructions",
+        "Figure 3 (axpy) — execution time and speedup vs NATIVE X1",
+        "Figure 3 (axpy) — energy (µJ)",
+    ] {
+        assert!(
+            run.stdout.contains(chart),
+            "missing {chart:?}:\n{}",
+            run.stdout
+        );
+    }
+    let points = point_reports(&run.document).len();
+    assert_eq!(points, 14, "axpy over the fourteen evaluated systems");
+    let energy = run.document.get("energy").and_then(Json::as_arr).unwrap();
+    assert_eq!(energy.len(), points);
+}
+
+/// A sensitivity manifest of kind "all" renders both cycles tables and the
+/// µJ energy matrix, and its JSON carries the driven axes.
+#[test]
+fn sensitivity_kind_all_renders_the_tables_and_the_energy_matrix() {
     let text = r#"{
         "artefact": "sensitivity",
-        "workloads": [
-            {"name": "axpy", "n": 32768},
-            {"name": "blackscholes", "n": 8192},
-            {"name": "somier", "n": 16384},
-            {"name": "composite", "n": 16384}
-        ],
         "app": "axpy",
         "axes": {"mvl": [128, 256], "l2_kib": [512]},
         "output": {"kind": "all"}
     }"#;
-    let from_manifest = ExperimentSpec::parse("inline", text).unwrap();
+    let spec = ExperimentSpec::parse("inline", text).unwrap();
+    let run = driver::execute(&spec, &plain_args()).unwrap();
+    for table in [
+        "Sensitivity (axpy) — Table I extrapolation at L2=512 KiB",
+        "Sensitivity (axpy) — cycles by MVL and L2 capacity",
+        "Sensitivity (axpy) — total energy (µJ) by MVL and L2 capacity",
+    ] {
+        assert!(
+            run.stdout.contains(table),
+            "missing {table:?}:\n{}",
+            run.stdout
+        );
+    }
+    assert_eq!(point_reports(&run.document).len(), 2);
+    assert_eq!(
+        run.document.get("axes").unwrap().to_string(),
+        r#"{"mvl":[128,256],"l2_kib":[512]}"#
+    );
+}
 
-    let axes = ava_bench::spec::AxesSpec {
-        mvl: vec![128, 256],
-        l2_kib: vec![512],
-        ..Default::default()
-    };
-    let from_flags =
-        ExperimentSpec::sensitivity(axes, "independent", None, Some("axpy".to_string()), "all")
+/// `--scale-down` keeps the first workload the `app` filter selects, so a
+/// filtered smoke of any manifest runs the workload it names — not the
+/// manifest's first entry, which the filter would then reject.
+#[test]
+fn scale_down_keeps_the_workload_the_app_filter_selects() {
+    for (manifest, app) in [
+        ("experiments/solver_mix.json", "iterated"),
+        ("experiments/sensitivity_vvr.json", "somier"),
+        ("experiments/fig3_extrapolation.json", "somier"),
+    ] {
+        let run = execute_committed(manifest, app, true);
+        let doc = &run.document;
+        let points = doc
+            .get("sweep")
+            .and_then(|s| s.get("points"))
+            .and_then(Json::as_arr)
             .unwrap();
+        assert!(!points.is_empty(), "{manifest}");
+        for p in points {
+            assert_eq!(
+                p.get("workload").and_then(Json::as_str),
+                Some(app),
+                "{manifest}"
+            );
+        }
+    }
+}
 
-    let a = driver::execute(&from_manifest, &plain_args()).unwrap();
-    let b = driver::execute(&from_flags, &plain_args()).unwrap();
-    assert_eq!(
-        a.stdout, b.stdout,
-        "table + energy text must be byte-identical"
-    );
+/// An `app` filter that matches nothing names the workloads the manifest
+/// does build — including the solver mix under its built name.
+#[test]
+fn unmatched_app_filter_lists_the_experiments_workloads() {
+    let text = std::fs::read_to_string("experiments/solver_mix.json").unwrap();
+    let mut spec = ExperimentSpec::parse("experiments/solver_mix.json", &text).unwrap();
+    spec.app = Some("nope".to_string());
+    let Err(err) = driver::execute(&spec, &plain_args()) else {
+        panic!("an unmatched filter must fail");
+    };
+    assert!(err.contains("\"nope\""), "{err}");
     assert!(
-        a.stdout
-            .contains("total energy (µJ) by MVL and L2 capacity"),
-        "kind \"all\" renders the energy matrix"
+        err.contains("axpy, blackscholes, somier, composite, iterated"),
+        "{err}"
     );
-    assert_eq!(point_reports(&a.document), point_reports(&b.document));
-    assert_eq!(
-        a.document.get("axes").unwrap().to_string(),
-        b.document.get("axes").unwrap().to_string()
-    );
+    assert!(!err.contains("--mix"), "{err}");
 }
 
 /// A manifest whose `execution` block attaches a store checkpoints its
@@ -218,7 +257,7 @@ fn store_attached_manifest_run_resumes_from_its_checkpoints() {
     assert_eq!(point_reports(&cold.document), point_reports(&warm.document));
     assert_eq!(cold.stdout, warm.stdout);
 
-    // Resuming against a store directory that does not exist is the legacy
+    // Resuming against a store directory that does not exist is the
     // "nothing to resume" diagnostic, raised at merge time.
     let missing = temp_dir("missing");
     let mut bad = spec.clone();
