@@ -1,5 +1,6 @@
 //! Thin wrapper over [`ava_bench::suites`]: unit-stride and strided vector
-//! accesses through the L2/DRAM timing model, and the scalar L1 hit path.
+//! accesses through the L2/DRAM timing model, the scalar L1 hit path, and
+//! word reads and writes of the functional memory.
 //! The suite body lives in the library so the `bench_baseline` recorder can
 //! persist the same numbers.
 

@@ -103,7 +103,8 @@ fn fig4_area(run: &mut Runner<'_>) {
 }
 
 /// Unit-stride and strided vector accesses through the L2/DRAM timing
-/// model, and the scalar L1 hit path.
+/// model, the scalar L1 hit path, and word reads and writes of the
+/// functional memory.
 fn memory_hierarchy(run: &mut Runner<'_>) {
     let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
     let base = mem.allocate(128 * 8);
@@ -123,6 +124,18 @@ fn memory_hierarchy(run: &mut Runner<'_>) {
     mem.scalar_access(base, false);
     run("memory/scalar_l1_hit", &mut || {
         mem.scalar_access(base, false)
+    });
+
+    // The functional memory the timing benches above leave out: one
+    // 128-element vector stored and loaded word by word, the traffic of
+    // every vector load/store, AVA swap and golden-reference check.
+    let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
+    let base = mem.allocate(128 * 8);
+    run("memory/functional_word_rw", &mut || {
+        for i in 0..128 {
+            mem.write_u64(base + 8 * i, i);
+        }
+        (0..128).fold(0, |sum, i| sum ^ mem.read_u64(base + 8 * i))
     });
 }
 

@@ -243,24 +243,6 @@ impl MemoryHierarchy {
         self.l2.flush();
     }
 
-    /// Brings every line of the allocated address range into the L2 and then
-    /// clears all statistics. This models measuring a region of interest
-    /// with warm caches, as the paper's gem5 runs do; data sets larger than
-    /// the L2 naturally still miss during the measured run.
-    pub fn warm_caches(&mut self) {
-        let (start, end) = self.memory.allocated_range();
-        self.warm_caches_range(start, end);
-    }
-
-    /// Warms only `[start, end)` (and clears statistics), for callers whose
-    /// allocation mixes measured data with auxiliary arenas that must stay
-    /// cold — e.g. the simulator's spill arena, which is MVL-wide per slot
-    /// and would otherwise evict the application's working set from small
-    /// L2 configurations before the run even starts.
-    pub fn warm_caches_range(&mut self, start: u64, end: u64) {
-        self.warm_caches_ranges(&[(start, end)]);
-    }
-
     /// Warms every `[start, end)` range of `ranges`, in order, then clears
     /// all statistics once. This is the planner-driven warm-up path: the
     /// simulator derives the ranges from the workload's planned data layout

@@ -5,9 +5,10 @@
 //! 512-bit lines, and DDR3 main memory; Table II). This crate provides that
 //! substrate:
 //!
-//! * [`MainMemory`] — a sparse, byte-addressable *functional* memory with a
-//!   bump allocator, used both as the simulation's backing store and as the
-//!   home of the AVA Memory Vector Register File (M-VRF).
+//! * [`MainMemory`] — a flat, byte-addressable *functional* memory: one
+//!   byte arena over the range its bump allocator hands out, used both as
+//!   the simulation's backing store and as the home of the AVA Memory
+//!   Vector Register File (M-VRF).
 //! * [`Cache`] — a set-associative, write-back/write-allocate cache model
 //!   with LRU replacement and hit/miss statistics.
 //! * [`Dram`] — a fixed-latency, bandwidth-limited main-memory timing model.

@@ -341,9 +341,13 @@ pub fn run_workload(workload: &dyn Workload, scenario: &ScenarioConfig) -> RunRe
 /// resolved systems around, as the sweep engine does).
 #[must_use]
 pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
-    run_workload_via(workload, system, &|kernel, opts| {
-        Arc::new(compile(kernel, opts))
-    })
+    run_workload_stored(
+        workload,
+        system,
+        &|kernel, opts| Arc::new(compile(kernel, opts)),
+        None,
+    )
+    .0
 }
 
 /// The compilation hook used by the sweep engine: given the kernel IR and
@@ -351,21 +355,12 @@ pub fn run_system(workload: &dyn Workload, system: &SystemConfig) -> RunReport {
 pub(crate) type CompileFn<'a> =
     &'a (dyn Fn(&IrKernel, &CompileOptions) -> Arc<CompiledKernel> + Sync);
 
-/// The full run pipeline with an injectable compilation step. `run_workload`
-/// passes a plain [`compile`]; [`crate::sweep`] passes a shared program
-/// cache. Because [`compile`] is deterministic, both paths produce
-/// bit-identical reports.
-pub(crate) fn run_workload_via(
-    workload: &dyn Workload,
-    system: &SystemConfig,
-    compile_fn: CompileFn<'_>,
-) -> RunReport {
-    run_workload_stored(workload, system, compile_fn, None).0
-}
-
-/// [`run_workload_via`] with an optional result store consulted between
-/// compilation and simulation. Returns the report and whether it was served
-/// from the store. Planning and compilation always run — they are what
+/// The full run pipeline with an injectable compilation step and an
+/// optional result store consulted between compilation and simulation.
+/// [`run_system`] passes a plain [`compile`]; [`crate::sweep`] passes a
+/// shared program cache. Because [`compile`] is deterministic, both paths
+/// produce bit-identical reports. Returns the report and whether it was
+/// served from the store. Planning and compilation always run — they are what
 /// produce the content fingerprint the store is keyed by — but on a hit the
 /// simulation itself (VPU setup, cache warming, cycle-level execution,
 /// validation) is skipped entirely.
@@ -389,19 +384,9 @@ pub(crate) fn run_workload_stored(
     let setup = workload.build_with_bindings(&mut mem, &ctx, &plan, &BufferBindings::none());
 
     // 2. Register allocation against the architectural budget (32 registers,
-    //    or 32/LMUL under register grouping); spill slots live on the stack
-    //    and are one full MVL wide. The arena is allocated directly above
-    //    the application data so `spill_base` — a compile input and part of
-    //    the sweep's compile-cache key — depends only on the workload and
-    //    the MVL, letting NATIVE/AVA configurations of equal MVL share one
-    //    compilation.
-    let spill_slot_bytes = (system.mvl() * 8) as u64;
-    let spill_base = mem.allocate(64 * spill_slot_bytes);
+    //    or 32/LMUL under register grouping).
+    let (compiled, opts) = compile_with_spill_arena(&mut mem, &setup.kernel, system, compile_fn);
     let (_, arena_end) = mem.memory().allocated_range();
-    let compiled = compile_fn(
-        &setup.kernel,
-        &CompileOptions::new(system.compiler_lmul, spill_base, spill_slot_bytes),
-    );
 
     // 2b. Result-store consultation. The key covers everything the
     //     simulation below reads: the compiled program bytes (via their
@@ -414,8 +399,8 @@ pub(crate) fn run_workload_stored(
         h.write_u64(workload.elements() as u64);
         plan.fingerprint(&mut h);
         setup.fingerprint(&mut h);
-        h.write_u64(spill_base);
-        h.write_u64(spill_slot_bytes);
+        h.write_u64(opts.spill_base);
+        h.write_u64(opts.spill_slot_bytes);
         h.write_str(&format!("{:?}", compiled.program));
         h.write_u64(compiled.spill_stores as u64);
         h.write_u64(compiled.spill_loads as u64);
@@ -531,11 +516,31 @@ pub(crate) fn run_workload_stored(
     (report, false)
 }
 
+/// Compiles `kernel` with its spill slots (one MVL-wide register each) on
+/// the stack at the next free address, directly above the application
+/// data, so `spill_base` — part of the sweep's compile-cache key — depends
+/// only on the workload and the MVL. Then reserves one slot per spilled
+/// value (the allocator never reuses a slot), at least 64 slots, so the AVA
+/// M-VRF above sits at the same address for every kernel that spills less.
+fn compile_with_spill_arena(
+    mem: &mut MemoryHierarchy,
+    kernel: &IrKernel,
+    system: &SystemConfig,
+    compile_fn: CompileFn<'_>,
+) -> (Arc<CompiledKernel>, CompileOptions) {
+    let spill_slot_bytes = (system.mvl() * 8) as u64;
+    let (_, spill_base) = mem.memory().allocated_range();
+    let opts = CompileOptions::new(system.compiler_lmul, spill_base, spill_slot_bytes);
+    let compiled = compile_fn(kernel, &opts);
+    mem.allocate((64 * spill_slot_bytes).max(compiled.spill_area_bytes));
+    (compiled, opts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ava_isa::Lmul;
-    use ava_workloads::{Axpy, Blackscholes, Somier};
+    use ava_workloads::{Axpy, Blackscholes, LavaMd2, Somier};
 
     use crate::configs::ScenarioConfig;
 
@@ -584,6 +589,45 @@ mod tests {
             ava2.compiler_spill_stores, 0,
             "AVA keeps all 32 architectural registers"
         );
+    }
+
+    /// The allocator gives every spilled value its own slot, so a kernel
+    /// under heavy grouping can spill far past 64 slots. The arena must
+    /// cover all of them: a buffer allocated after the run (as the M-VRF is
+    /// on AVA) has to start out zero, not hold spilled vectors.
+    #[test]
+    fn spill_stores_stay_inside_the_reserved_arena() {
+        let workload = LavaMd2::new(8, 2);
+        let system = ScenarioConfig::rg_lmul(Lmul::M8).resolve();
+        let mut mem = MemoryHierarchy::new(system.memory);
+        let plan = ArenaPlanner::new().plan(&mut mem, &workload.data_layout());
+        let setup = workload.build_with_bindings(
+            &mut mem,
+            &VectorContext::with_mvl(system.mvl()),
+            &plan,
+            &BufferBindings::none(),
+        );
+        let (compiled, opts) =
+            compile_with_spill_arena(&mut mem, &setup.kernel, &system, &|k, o| {
+                Arc::new(compile(k, o))
+            });
+        assert!(
+            compiled.spill_area_bytes > 64 * opts.spill_slot_bytes,
+            "lavamd2 spills past 64 slots"
+        );
+
+        let mut vpu = Vpu::new(system.vpu.clone(), &mut mem);
+        vpu.run(&compiled.program, &mut mem);
+        assert!(validate(&mem, &setup.checks).is_ok());
+        let fresh = mem.allocate(compiled.spill_area_bytes);
+        for word in (0..compiled.spill_area_bytes).step_by(8) {
+            assert_eq!(
+                mem.read_u64(fresh + word),
+                0,
+                "spill data at {:#x}",
+                fresh + word
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! Property-based tests over the whole stack: randomly generated vector
 //! kernels must produce identical results no matter which register-file
 //! organisation executes them, the register allocator must always respect
-//! its budget, and the cache hierarchy must never change functional values.
+//! its budget, the cache hierarchy must never change functional values, and
+//! every reader of outside bytes (the JSON parser, manifests, reports, store
+//! entries) answers mutated input with a diagnostic or a miss, never a panic.
 //!
 //! The container has no access to crates.io, so instead of proptest these
 //! tests drive a deterministic SplitMix64 case generator: every run explores
 //! the same cases, and a failing case is reproducible from its index alone.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+
 use ava::compiler::{compile, CompileOptions, KernelBuilder, VirtReg};
 use ava::isa::Lmul;
 use ava::memory::MemoryHierarchy;
-use ava::sim::ScenarioConfig;
+use ava::sim::json;
+use ava::sim::{run_workload, ResultStore, RunReport, ScenarioConfig, StoreKey};
 use ava::vpu::Vpu;
 use ava::workloads::data::DataGen;
+use ava::workloads::Axpy;
+use ava_bench::spec::ExperimentSpec;
 
 const CASES: u64 = 24;
 
@@ -173,7 +181,8 @@ fn timing_accesses_never_corrupt_functional_state() {
             mem.write_f64(base + 8 * i as u64, *v);
         }
         // Timing-side activity.
-        mem.warm_caches();
+        let allocated = mem.memory().allocated_range();
+        mem.warm_caches_ranges(&[allocated]);
         let _ = mem.vector_access(base, (values.len() * 8) as u64, false);
         let addrs: Vec<u64> = (0..values.len() as u64)
             .map(|i| base + i * 8 * stride % 4096)
@@ -256,4 +265,114 @@ fn preg_count_is_monotonic_and_the_mvl_axis_holds_the_floor() {
             assert_eq!(vpu.pvrf_bytes, 8 * 1024, "{}", scenario.label());
         }
     }
+}
+
+/// Number literals a mutation swaps in: past `u64`, past `f64`, and
+/// underflowing to zero.
+const HUGE_NUMBERS: [&str; 5] = [
+    "18446744073709551616",
+    "-99999999999999999999999999999999",
+    "1e999999",
+    "-1e-999999",
+    "123456789012345678901234567890.5e308",
+];
+
+/// One deterministic mutation of `seed`: a truncation, a few bit flips, a
+/// run of nested brackets deeper than [`json::MAX_DEPTH`] allows (or not),
+/// or a number literal replaced by a huge one. Returns the bytes and a
+/// description for failure messages.
+fn mutate(rng: &mut DataGen, seed: &[u8]) -> (Vec<u8>, String) {
+    let mut bytes = seed.to_vec();
+    let at = in_range(rng, 0, bytes.len() as u64) as usize;
+    match in_range(rng, 0, 3) {
+        0 => {
+            bytes.truncate(at);
+            (bytes, format!("truncated at byte {at}"))
+        }
+        1 => {
+            let flips = in_range(rng, 1, 8);
+            for _ in 0..flips {
+                let i = in_range(rng, 0, bytes.len() as u64 - 1) as usize;
+                bytes[i] ^= 1 << in_range(rng, 0, 7);
+            }
+            (bytes, format!("{flips} bit flips"))
+        }
+        2 => {
+            let depth = in_range(rng, 1, 64 * json::MAX_DEPTH as u64) as usize;
+            let open = [&b"["[..], &b"{\"k\":"[..]][in_range(rng, 0, 1) as usize];
+            bytes.splice(at..at, open.repeat(depth));
+            (
+                bytes,
+                format!("{depth} nested {:?} at byte {at}", open[0] as char),
+            )
+        }
+        _ => {
+            let huge = HUGE_NUMBERS[in_range(rng, 0, HUGE_NUMBERS.len() as u64 - 1) as usize];
+            let digit = bytes[at..]
+                .iter()
+                .position(u8::is_ascii_digit)
+                .map_or(bytes.len(), |i| at + i);
+            let end = bytes[digit..]
+                .iter()
+                .position(|b| !b.is_ascii_digit())
+                .map_or(bytes.len(), |i| digit + i);
+            bytes.splice(digit..end, huge.bytes());
+            (bytes, format!("{huge} at byte {digit}"))
+        }
+    }
+}
+
+/// Runs `f`, failing the test with `context` if it panics.
+fn never_panics<T>(context: &str, f: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| panic!("{context}: panicked"))
+}
+
+/// Every outside-bytes reader, fed mutations of every committed manifest, a
+/// report document and a store entry: each mutation is a parse, a named
+/// diagnostic or a store miss, never a panic.
+#[test]
+fn mutated_documents_are_diagnostics_or_misses_never_panics() {
+    let scenario = ScenarioConfig::ava_x(2).with_iters(3);
+    let report = run_workload(&Axpy::new(256), &scenario);
+    let dir = std::env::temp_dir().join(format!("ava-fuzz-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ResultStore::open(&dir).unwrap();
+    let key = StoreKey::new("axpy", 256, &scenario.resolve(), 0xfeed_face);
+    store.insert(&key, &report, 1).unwrap();
+    let entry = dir.join(key.file_name());
+
+    let mut seeds: Vec<(String, Vec<u8>)> = Vec::new();
+    let manifests = Path::new(env!("CARGO_MANIFEST_DIR")).join("experiments");
+    for path in std::fs::read_dir(manifests).unwrap() {
+        let path = path.unwrap().path();
+        seeds.push((path.display().to_string(), std::fs::read(&path).unwrap()));
+    }
+    assert!(seeds.len() >= 8, "every committed manifest is a seed");
+    seeds.push(("report".into(), report.to_json().to_string().into_bytes()));
+    seeds.push(("store entry".into(), std::fs::read(&entry).unwrap()));
+
+    for (name, seed) in &seeds {
+        for case in 0..4 * CASES {
+            let mut rng = case_rng(case);
+            let (bytes, mutation) = mutate(&mut rng, seed);
+            let context = format!("{name}, case {case} ({mutation})");
+            let text = String::from_utf8_lossy(&bytes);
+            match never_panics(&context, || json::parse(&text)) {
+                Ok(doc) => never_panics(&context, || {
+                    let _ = RunReport::from_json(&doc);
+                    let _ = doc.get("report").map(RunReport::from_json);
+                }),
+                Err(e) => assert!(e.contains("byte"), "{context}: undiagnosed error {e:?}"),
+            }
+            if let Err(e) = never_panics(&context, || ExperimentSpec::parse(name, &text)) {
+                assert!(!e.is_empty(), "{context}: empty diagnostic");
+            }
+            std::fs::write(&entry, &bytes).unwrap();
+            let served = never_panics(&context, || store.lookup(&key));
+            if bytes == *seed && name == "store entry" {
+                assert!(served.is_some(), "{context}: an intact entry must hit");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
